@@ -57,9 +57,10 @@ chaos:
 soak-async:
 	$(GO) test -race -count=1 -run 'TestSoakAsync' -v ./internal/chaos/
 
-# The gate a PR must pass: formatting, go vet, fedomdvet, and the full test
+# The gate a PR must pass: formatting, go vet, fedomdvet, the full test
 # suite under the race detector (-count=1 so a cached pass can't mask a
-# race). CI-friendly: every stage runs even if an earlier one fails, each
+# race), the smoke benches, and the benchmark module's own tests (perfbench
+# is a separate Go module, so the root `go test ./...` never reaches it). CI-friendly: every stage runs even if an earlier one fails, each
 # reports its own status, and the target exits non-zero if any stage failed.
 # Each stage reports its own wall time so a slow gate is visible at a glance.
 check:
@@ -79,6 +80,8 @@ check:
 	else t1=$$(date +%s); echo "FAIL benchkernels -smoke ($$((t1-t0))s)"; fail=1; fi; \
 	t0=$$(date +%s); if $(GO) run ./cmd/benchserve -smoke >/dev/null; then t1=$$(date +%s); echo "ok   benchserve -smoke ($$((t1-t0))s)"; \
 	else t1=$$(date +%s); echo "FAIL benchserve -smoke ($$((t1-t0))s)"; fail=1; fi; \
+	t0=$$(date +%s); if (cd perfbench && $(GO) test ./...); then t1=$$(date +%s); echo "ok   perfbench self-test ($$((t1-t0))s)"; \
+	else t1=$$(date +%s); echo "FAIL perfbench self-test ($$((t1-t0))s)"; fail=1; fi; \
 	exit $$fail
 
 # Exposition lint in isolation: run a short chaos-injected round trip and

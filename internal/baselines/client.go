@@ -11,7 +11,6 @@ import (
 	"fedomd/internal/ad"
 	"fedomd/internal/fed"
 	"fedomd/internal/graph"
-	"fedomd/internal/mat"
 	"fedomd/internal/nn"
 	"fedomd/internal/sparse"
 )
@@ -55,6 +54,9 @@ type Client struct {
 	// tape is the reusable per-client autodiff arena (the server never calls
 	// a client concurrently with itself).
 	tape *ad.Tape
+	// eval shares one inference forward between EvalVal and EvalTest at
+	// each parameter snapshot.
+	eval *nn.EvalCache
 
 	// globalSnapshot is the last broadcast model, anchoring FedProx's
 	// proximal term.
@@ -113,7 +115,16 @@ func newClient(name string, g *graph.Graph, model nn.Model, in nn.Input, opts Op
 		rng:   rng,
 		opts:  opts,
 		tape:  ad.NewTape(),
+		eval:  modelEvalCache(model, in, rng),
 	}, nil
+}
+
+// modelEvalCache builds the shared inference cache over a model's
+// dropout-off forward pass.
+func modelEvalCache(m nn.Model, in nn.Input, rng *rand.Rand) *nn.EvalCache {
+	return nn.NewEvalCache(m.Params(), nil, func(tp *ad.Tape) *nn.Forward {
+		return m.Forward(tp, in, rng, false)
+	})
 }
 
 // Name implements fed.Client.
@@ -138,6 +149,7 @@ func (c *Client) SetParams(global *nn.Params) error {
 
 // TrainLocal implements fed.Client.
 func (c *Client) TrainLocal(round int) (float64, error) {
+	c.eval.Release()
 	if len(c.g.TrainMask) == 0 {
 		return 0, nil
 	}
@@ -189,20 +201,7 @@ func (c *Client) proxTerm(tp *ad.Tape, nodes []*ad.Node) *ad.Node {
 
 // Accuracy evaluates the current model on a node mask.
 func (c *Client) Accuracy(mask []int) (int, int) {
-	if len(mask) == 0 {
-		return 0, 0
-	}
-	tp := c.tape
-	defer tp.Release()
-	f := c.model.Forward(tp, c.in, c.rng, false)
-	pred := mat.ArgmaxRows(f.Logits.Value)
-	correct := 0
-	for _, i := range mask {
-		if pred[i] == c.g.Labels[i] {
-			correct++
-		}
-	}
-	return correct, len(mask)
+	return c.eval.Accuracy(c.g.Labels, mask)
 }
 
 // EvalVal implements fed.Client.

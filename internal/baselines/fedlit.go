@@ -38,6 +38,7 @@ type FedLITClient struct {
 	types  int
 	hidden int
 	tape   *ad.Tape
+	eval   *nn.EvalCache
 }
 
 var _ fed.Client = (*FedLITClient)(nil)
@@ -67,11 +68,16 @@ func NewFedLIT(name string, g *graph.Graph, linkTypes int, opts Options, seed in
 	for k := 0; k < linkTypes; k++ {
 		params.Add(fmt.Sprintf("w1_t%d", k), mat.Xavier(rng, opts.Hidden, g.NumClasses))
 	}
-	return &FedLITClient{
+	c := &FedLITClient{
 		name: name, g: g, ops: ops, params: params,
 		opt: nn.NewAdam(opts.LR, opts.WeightDecay), rng: rng, opts: opts,
 		types: linkTypes, hidden: opts.Hidden, tape: ad.NewTape(),
-	}, nil
+	}
+	c.eval = nn.NewEvalCache(params, nil, func(tp *ad.Tape) *nn.Forward {
+		logits, _ := c.forward(tp, false)
+		return &nn.Forward{Logits: logits}
+	})
+	return c, nil
 }
 
 // linkTypeOperators clusters edges into latent types and builds one
@@ -218,6 +224,7 @@ func (c *FedLITClient) forward(tp *ad.Tape, train bool) (*ad.Node, []*ad.Node) {
 
 // TrainLocal implements fed.Client.
 func (c *FedLITClient) TrainLocal(round int) (float64, error) {
+	c.eval.Release()
 	if len(c.g.TrainMask) == 0 {
 		return 0, nil
 	}
@@ -250,20 +257,7 @@ func (c *FedLITClient) trainStep() (float64, error) {
 
 // Accuracy evaluates the current model on a node mask.
 func (c *FedLITClient) Accuracy(mask []int) (int, int) {
-	if len(mask) == 0 {
-		return 0, 0
-	}
-	tp := c.tape
-	defer tp.Release()
-	logits, _ := c.forward(tp, false)
-	pred := mat.ArgmaxRows(logits.Value)
-	correct := 0
-	for _, i := range mask {
-		if pred[i] == c.g.Labels[i] {
-			correct++
-		}
-	}
-	return correct, len(mask)
+	return c.eval.Accuracy(c.g.Labels, mask)
 }
 
 // EvalVal implements fed.Client.

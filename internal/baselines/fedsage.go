@@ -41,6 +41,7 @@ type FedSageClient struct {
 	opts   Options
 	hidden int
 	tape   *ad.Tape
+	eval   *nn.EvalCache
 	labels []int // g.Labels zero-padded to the augmented node count
 }
 
@@ -81,13 +82,18 @@ func NewFedSage(name string, g *graph.Graph, opts Options, seed int64) (*FedSage
 	labels := make([]int, augFeatures.Rows())
 	copy(labels, g.Labels)
 
-	return &FedSageClient{
+	c := &FedSageClient{
 		name: name, g: g,
 		augFeatures: augFeatures, augOp: op, numOrig: numOrig,
 		params: params, opt: nn.NewAdam(opts.LR, opts.WeightDecay),
 		rng: rng, opts: opts, hidden: opts.Hidden,
 		tape: ad.NewTape(), labels: labels,
-	}, nil
+	}
+	c.eval = nn.NewEvalCache(params, nil, func(tp *ad.Tape) *nn.Forward {
+		logits, _ := c.forward(tp, false)
+		return &nn.Forward{Logits: logits}
+	})
+	return c, nil
 }
 
 // trainNeighborGenerator fits the linear generator X_u ↦ mean(X_neighbours)
@@ -210,6 +216,7 @@ func (c *FedSageClient) forward(tp *ad.Tape, train bool) (*ad.Node, []*ad.Node) 
 // TrainLocal implements fed.Client; the loss is computed on original
 // (labelled) nodes only.
 func (c *FedSageClient) TrainLocal(round int) (float64, error) {
+	c.eval.Release()
 	if len(c.g.TrainMask) == 0 {
 		return 0, nil
 	}
@@ -242,20 +249,7 @@ func (c *FedSageClient) trainStep() (float64, error) {
 
 // Accuracy evaluates on a mask over original nodes.
 func (c *FedSageClient) Accuracy(mask []int) (int, int) {
-	if len(mask) == 0 {
-		return 0, 0
-	}
-	tp := c.tape
-	defer tp.Release()
-	logits, _ := c.forward(tp, false)
-	pred := mat.ArgmaxRows(logits.Value)
-	correct := 0
-	for _, i := range mask {
-		if pred[i] == c.g.Labels[i] {
-			correct++
-		}
-	}
-	return correct, len(mask)
+	return c.eval.Accuracy(c.g.Labels, mask)
 }
 
 // EvalVal implements fed.Client.

@@ -27,6 +27,7 @@ type ScaffoldClient struct {
 	rng  *rand.Rand
 	opts Options
 	tape *ad.Tape
+	eval *nn.EvalCache
 
 	ci          *nn.Params // client control variate
 	cGlobal     *nn.Params // server control variate
@@ -57,6 +58,7 @@ func NewScaffold(name string, g *graph.Graph, opts Options, seed int64) (*Scaffo
 	return &ScaffoldClient{
 		name: name, g: g, in: nn.Input{X: g.Features}, mlp: mlp, rng: rng, opts: opts,
 		ci: zero(), cGlobal: zero(), tape: ad.NewTape(),
+		eval: modelEvalCache(mlp, nn.Input{X: g.Features}, rng),
 	}, nil
 }
 
@@ -80,6 +82,7 @@ func (s *ScaffoldClient) SetParams(global *nn.Params) error {
 
 // TrainLocal implements fed.Client with variance-reduced SGD steps.
 func (s *ScaffoldClient) TrainLocal(round int) (float64, error) {
+	s.eval.Release()
 	if len(s.g.TrainMask) == 0 {
 		return 0, nil
 	}
@@ -148,20 +151,7 @@ func (s *ScaffoldClient) DownloadAux(global *nn.Params) error {
 
 // Accuracy evaluates the current model on a node mask.
 func (s *ScaffoldClient) Accuracy(mask []int) (int, int) {
-	if len(mask) == 0 {
-		return 0, 0
-	}
-	tp := s.tape
-	defer tp.Release()
-	f := s.mlp.Forward(tp, s.in, s.rng, false)
-	pred := mat.ArgmaxRows(f.Logits.Value)
-	correct := 0
-	for _, i := range mask {
-		if pred[i] == s.g.Labels[i] {
-			correct++
-		}
-	}
-	return correct, len(mask)
+	return s.eval.Accuracy(s.g.Labels, mask)
 }
 
 // EvalVal implements fed.Client.

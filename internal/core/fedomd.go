@@ -117,11 +117,14 @@ type Client struct {
 	model *nn.OrthoGCN
 	opt   *nn.Adam
 	rng   *rand.Rand
-	// tape is the client's reusable autodiff arena. fed.Server never calls a
+	// tape is the client's reusable training arena. fed.Server never calls a
 	// client concurrently with itself, so one tape per client is safe; every
-	// forward pass records on it and Releases its buffers back to the mat
-	// pool once the results have been consumed.
+	// training step records on it and Releases its buffers back to the mat
+	// pool once the optimizer has consumed the gradients.
 	tape *ad.Tape
+	// eval serves EvalVal, EvalTest, LocalMeans and CentralAroundGlobal
+	// from one dropout-off forward per parameter snapshot (DESIGN.md §7).
+	eval *nn.EvalCache
 
 	globalMeans   []*mat.Dense
 	globalCentral [][]*mat.Dense
@@ -151,7 +154,7 @@ func NewClient(name string, g *graph.Graph, cfg Config, seed int64) (*Client, er
 	if err != nil {
 		return nil, fmt.Errorf("core: client %s: %w", name, err)
 	}
-	return &Client{
+	c := &Client{
 		name:  name,
 		cfg:   cfg,
 		g:     g,
@@ -160,7 +163,11 @@ func NewClient(name string, g *graph.Graph, cfg Config, seed int64) (*Client, er
 		opt:   nn.NewAdam(cfg.LR, cfg.WeightDecay),
 		rng:   rng,
 		tape:  ad.NewTape(),
-	}, nil
+	}
+	c.eval = nn.NewEvalCache(model.Params(), model.SpectralBound, func(tp *ad.Tape) *nn.Forward {
+		return c.forward(tp, false)
+	})
+	return c, nil
 }
 
 // NewClients partitions a global graph into m parties with the Louvain cut
@@ -227,6 +234,9 @@ func (c *Client) LastLosses() Losses { return c.last }
 // combined objective. A party without labelled nodes performs no step and
 // reports zero loss (it still contributes its weights to aggregation).
 func (c *Client) TrainLocal(round int) (float64, error) {
+	// The step changes the weights anyway; hand the cached inference
+	// buffers back to the pool so the step's forward reuses them.
+	c.eval.Release()
 	if len(c.g.TrainMask) == 0 {
 		return 0, nil
 	}
@@ -314,9 +324,7 @@ func (c *Client) cmdLoss(tp *ad.Tape, f *nn.Forward) (*ad.Node, error) {
 // hidden embedding even when unlabelled, and the richer statistic stabilises
 // the global estimate at the paper's 1% label rate).
 func (c *Client) LocalMeans() ([]*mat.Dense, int, error) {
-	tp := c.tape
-	defer tp.Release()
-	f := c.forward(tp, false)
+	f := c.eval.Forward()
 	means := make([]*mat.Dense, len(f.Hidden))
 	obs := 0.0
 	for l, h := range f.Hidden {
@@ -331,9 +339,7 @@ func (c *Client) LocalMeans() ([]*mat.Dense, int, error) {
 
 // CentralAroundGlobal implements fed.MomentClient: Algorithm 1 lines 12-15.
 func (c *Client) CentralAroundGlobal(globalMeans []*mat.Dense) ([][]*mat.Dense, int, error) {
-	tp := c.tape
-	defer tp.Release()
-	f := c.forward(tp, false)
+	f := c.eval.Forward()
 	if len(globalMeans) != len(f.Hidden) {
 		return nil, 0, fmt.Errorf("core: %s got %d global means for %d layers", c.name, len(globalMeans), len(f.Hidden))
 	}
@@ -352,19 +358,7 @@ func (c *Client) SetGlobalStats(means []*mat.Dense, central [][]*mat.Dense) {
 
 // Accuracy evaluates the current model on the given node mask.
 func (c *Client) Accuracy(mask []int) (correct, total int) {
-	if len(mask) == 0 {
-		return 0, 0
-	}
-	tp := c.tape
-	defer tp.Release()
-	f := c.forward(tp, false)
-	pred := mat.ArgmaxRows(f.Logits.Value)
-	for _, i := range mask {
-		if pred[i] == c.g.Labels[i] {
-			correct++
-		}
-	}
-	return correct, len(mask)
+	return c.eval.Accuracy(c.g.Labels, mask)
 }
 
 // EvalVal implements fed.Client.

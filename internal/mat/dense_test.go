@@ -189,6 +189,15 @@ func TestArgmaxRows(t *testing.T) {
 	if got[0] != 1 || got[1] != 0 {
 		t.Fatalf("ArgmaxRows = %v", got)
 	}
+	// The Into form reuses storage that is large enough and grows it
+	// otherwise.
+	buf := make([]int, 1, 4)
+	if into := ArgmaxRowsInto(buf, a); &into[0] != &buf[0] || into[0] != 1 || into[1] != 0 {
+		t.Fatalf("ArgmaxRowsInto with room = %v", into)
+	}
+	if into := ArgmaxRowsInto(buf[:0:1], a); len(into) != 2 || into[0] != 1 || into[1] != 0 {
+		t.Fatalf("ArgmaxRowsInto without room = %v", into)
+	}
 }
 
 func TestShapeMismatchPanics(t *testing.T) {

@@ -379,8 +379,15 @@ func (m *Dense) SelectRowsInto(out *Dense, idx []int) {
 }
 
 // ArgmaxRows returns, for each row, the index of its largest element.
-func ArgmaxRows(a *Dense) []int {
-	out := make([]int, a.rows)
+func ArgmaxRows(a *Dense) []int { return ArgmaxRowsInto(nil, a) }
+
+// ArgmaxRowsInto is ArgmaxRows writing into out's storage, grown when it is
+// shorter than a's row count; it returns the filled slice.
+func ArgmaxRowsInto(out []int, a *Dense) []int {
+	if out == nil || cap(out) < a.rows {
+		out = make([]int, a.rows)
+	}
+	out = out[:a.rows]
 	for i := 0; i < a.rows; i++ {
 		row := a.Row(i)
 		best, bi := math.Inf(-1), 0

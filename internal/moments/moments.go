@@ -53,11 +53,40 @@ func Compute(z *mat.Dense, maxOrder int) (Stats, error) {
 // CentralAround computes E((z − mean)^j) column-wise for j = 2..maxOrder
 // around an externally supplied mean — Algorithm 1 line 13, where clients
 // centre on the *global* mean received from the server.
+//
+// It is one row-order sweep with no n×d temporaries: each d = z − μ is
+// raised incrementally (d², d²·d, …), which equals mat.IPow's left-to-right
+// product bit for bit, and every order is summed in row order and scaled by
+// 1/n exactly as mat.MeanRows would.
 func CentralAround(z, mean *mat.Dense, maxOrder int) []*mat.Dense {
-	centered := mat.SubRowVec(z, mean)
+	if mean.Rows() != 1 || mean.Cols() != z.Cols() {
+		panic(fmt.Sprintf("moments: CentralAround wants a 1x%d mean, got %dx%d", z.Cols(), mean.Rows(), mean.Cols()))
+	}
 	out := make([]*mat.Dense, 0, maxOrder-1)
+	sums := make([][]float64, 0, maxOrder-1)
 	for j := 2; j <= maxOrder; j++ {
-		out = append(out, mat.MeanRows(mat.PowElem(centered, j)))
+		o := mat.New(1, z.Cols())
+		out = append(out, o)
+		sums = append(sums, o.Data())
+	}
+	if len(out) == 0 || z.Rows() == 0 {
+		return out
+	}
+	mu := mean.Data()
+	for i := 0; i < z.Rows(); i++ {
+		for c, x := range z.Row(i) {
+			d := x - mu[c]
+			p := d * d
+			sums[0][c] += p
+			for _, s := range sums[1:] {
+				p *= d
+				s[c] += p
+			}
+		}
+	}
+	inv := 1 / float64(z.Rows())
+	for _, o := range out {
+		o.ScaleInPlace(inv)
 	}
 	return out
 }

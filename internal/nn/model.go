@@ -197,6 +197,10 @@ type OrthoGCN struct {
 // in the forward pass (on by default). Exposed for the design ablation.
 func (m *OrthoGCN) SetSpectralBound(on bool) { m.spectralBound = on }
 
+// SpectralBound reports whether the forward pass bounds the OrthoConv
+// weights by their spectral norm.
+func (m *OrthoGCN) SpectralBound() bool { return m.spectralBound }
+
 // NewOrthoGCN builds the Table 1 model. hiddenLayers is the number of hidden
 // representations (the paper's "2-hidden" default means hiddenLayers = 2:
 // one GCNConv plus one OrthoConv before the output GCNConv).

@@ -121,6 +121,24 @@ func (p *Params) L2Distance(q *Params) (float64, error) {
 	return math.Sqrt(s), nil
 }
 
+// Equal reports whether q holds the same names, order and shapes as p and
+// bit-identical values (math.Float64bits), so a NaN equals the same NaN and
+// 0 differs from -0. It is the key check of EvalCache.
+func (p *Params) Equal(q *Params) bool {
+	if p.compatible(q) != nil {
+		return false
+	}
+	for _, n := range p.names {
+		a, b := p.vals[n].Data(), q.vals[n].Data()
+		for i, v := range a {
+			if math.Float64bits(v) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Compatible reports whether q has the same parameter names, order, and
 // shapes as p (nil when it does) — the precondition for CopyFrom, AXPY, and
 // Average. The federated runtime uses it to screen a client's upload before
