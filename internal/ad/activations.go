@@ -9,7 +9,7 @@ import (
 // Sigmoid records c = 1/(1+e^{−a}) element-wise.
 // Gradient: c·(1−c) ⊙ upstream, fused into the grad buffer.
 func (t *Tape) Sigmoid(a *Node) *Node {
-	out := t.op(a.Value.Dims())
+	out := t.op(a.Value.Rows(), a.Value.Cols(), a)
 	mat.ApplyInto(out.Value, a.Value, func(x float64) float64 {
 		if x >= 0 {
 			return 1 / (1 + math.Exp(-x))
@@ -31,7 +31,7 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 // Tanh records c = tanh(a) element-wise.
 // Gradient: (1−c²) ⊙ upstream, fused into the grad buffer.
 func (t *Tape) Tanh(a *Node) *Node {
-	out := t.op(a.Value.Dims())
+	out := t.op(a.Value.Rows(), a.Value.Cols(), a)
 	mat.ApplyInto(out.Value, a.Value, math.Tanh)
 	out.backward = func() {
 		gd := a.grad().Data()
@@ -45,7 +45,7 @@ func (t *Tape) Tanh(a *Node) *Node {
 
 // LeakyReLU records c = max(a, slope·a) for 0 ≤ slope < 1.
 func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
-	out := t.op(a.Value.Dims())
+	out := t.op(a.Value.Rows(), a.Value.Cols(), a)
 	mat.ApplyInto(out.Value, a.Value, func(x float64) float64 {
 		if x > 0 {
 			return x

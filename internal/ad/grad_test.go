@@ -80,6 +80,56 @@ func TestGradSpMM(t *testing.T) {
 	})
 }
 
+func TestGradSparseMatMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var entries []sparse.Coord
+	for i := 0; i < 9; i++ {
+		for j := 0; j < 20; j++ {
+			if rng.Float64() < 0.15 {
+				entries = append(entries, sparse.Coord{Row: i, Col: j, Val: rng.NormFloat64()})
+			}
+		}
+	}
+	a, err := sparse.NewCSR(9, 20, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aT := a.Transpose()
+	w := mat.RandGaussian(rng, 20, 10, 0, 1)
+	checkGrad(t, "sparse-matmul", []*mat.Dense{w}, func(tp *Tape, ps []*Node) *Node {
+		// w enters twice, so the backward accumulates into a live gradient.
+		return tp.SumSquares(tp.Mul(tp.SparseMatMul(a, aT, ps[0]), tp.SparseMatMul(a, aT, ps[0])))
+	})
+
+	// The op is MatMul on the densified constant, bit for bit.
+	run := func(sparseOp bool) (*mat.Dense, *mat.Dense) {
+		tp := NewTape()
+		wn := tp.Param(w)
+		var c *Node
+		if sparseOp {
+			c = tp.SparseMatMul(a, aT, wn)
+		} else {
+			c = tp.MatMul(tp.Const(a.ToDense()), wn)
+		}
+		if err := tp.Backward(tp.SumSquares(c)); err != nil {
+			t.Fatal(err)
+		}
+		return c.Value.Clone(), wn.Grad.Clone()
+	}
+	sv, sg := run(true)
+	dv, dg := run(false)
+	for i, v := range dv.Data() {
+		if math.Float64bits(sv.Data()[i]) != math.Float64bits(v) {
+			t.Fatalf("value %d = %v, dense %v", i, sv.Data()[i], v)
+		}
+	}
+	for i, v := range dg.Data() {
+		if math.Float64bits(sg.Data()[i]) != math.Float64bits(v) {
+			t.Fatalf("gradient %d = %v, dense %v", i, sg.Data()[i], v)
+		}
+	}
+}
+
 func TestGradElementwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := mat.RandGaussian(rng, 3, 4, 0, 1)
@@ -261,24 +311,64 @@ func TestSoftmaxOutsideTape(t *testing.T) {
 	}
 }
 
+// TestConstGetsNoGrad pins that no op pushes a gradient into a Const input:
+// for each binary op and SparseMatMul, a constant operand keeps a nil Grad
+// while the parameter beside it gets its gradient.
 func TestConstGetsNoGrad(t *testing.T) {
-	tp := NewTape()
-	c := tp.Const(mat.Eye(2))
-	p := tp.Param(mat.Eye(2))
-	loss := tp.SumSquares(tp.Mul(c, p))
-	if err := tp.Backward(loss); err != nil {
+	s, err := sparse.NewCSR(2, 2, []sparse.Coord{{Row: 0, Col: 1, Val: 2}, {Row: 1, Col: 1, Val: -1}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Grad != nil && mat.FrobNorm(c.Grad) != 0 {
-		// Constants may receive a grad buffer via accumGrad, but no op should
-		// have pushed into this one beyond the Mul; the important invariant
-		// is params got theirs.
-		t.Log("const received gradient buffer (allowed)")
+	sT := s.Transpose()
+	row := func() *mat.Dense {
+		v := mat.New(1, 2)
+		v.Set(0, 0, 0.5)
+		v.Set(0, 1, -1)
+		return v
 	}
-	if p.Grad == nil {
-		t.Fatal("param missing gradient")
+	cases := []struct {
+		name string
+		// build returns the loss over constant c and parameter p.
+		build      func(tp *Tape, c, p *Node) *Node
+		cVal, pVal func() *mat.Dense
+	}{
+		{"MatMul(c,p)", func(tp *Tape, c, p *Node) *Node { return tp.MatMul(c, p) }, eye2, sq2},
+		{"MatMul(p,c)", func(tp *Tape, c, p *Node) *Node { return tp.MatMul(p, c) }, eye2, sq2},
+		{"Mul", func(tp *Tape, c, p *Node) *Node { return tp.Mul(c, p) }, eye2, sq2},
+		{"Add", func(tp *Tape, c, p *Node) *Node { return tp.Add(c, p) }, eye2, sq2},
+		{"Sub(c,p)", func(tp *Tape, c, p *Node) *Node { return tp.Sub(c, p) }, eye2, sq2},
+		{"Sub(p,c)", func(tp *Tape, c, p *Node) *Node { return tp.Sub(p, c) }, eye2, sq2},
+		{"AddRowVec(c,p)", func(tp *Tape, c, p *Node) *Node { return tp.AddRowVec(c, p) }, eye2, row},
+		{"AddRowVec(p,c)", func(tp *Tape, c, p *Node) *Node { return tp.AddRowVec(p, c) }, row, sq2},
+		{"SubRowVec(c,p)", func(tp *Tape, c, p *Node) *Node { return tp.SubRowVec(c, p) }, eye2, row},
+		{"SubRowVec(p,c)", func(tp *Tape, c, p *Node) *Node { return tp.SubRowVec(p, c) }, row, sq2},
+		{"SparseMatMul", func(tp *Tape, c, p *Node) *Node {
+			return tp.Add(tp.SparseMatMul(s, sT, c), p)
+		}, eye2, sq2},
+		{"ReLU(c)", func(tp *Tape, c, p *Node) *Node { return tp.Mul(tp.ReLU(c), p) }, eye2, sq2},
 	}
-	if !p.IsParam() || c.IsParam() {
-		t.Fatal("IsParam flags wrong")
+	for _, tc := range cases {
+		tp := NewTape()
+		c := tp.Const(tc.cVal())
+		p := tp.Param(tc.pVal())
+		if err := tp.Backward(tp.SumSquares(tc.build(tp, c, p))); err != nil {
+			t.Fatal(err)
+		}
+		if c.Grad != nil {
+			t.Fatalf("%s: constant received a gradient buffer", tc.name)
+		}
+		if p.Grad == nil || mat.FrobNorm(p.Grad) == 0 {
+			t.Fatalf("%s: parameter missing its gradient", tc.name)
+		}
+		if !p.IsParam() || c.IsParam() {
+			t.Fatalf("%s: IsParam flags wrong", tc.name)
+		}
 	}
+}
+
+func eye2() *mat.Dense { return mat.Eye(2) }
+
+func sq2() *mat.Dense {
+	m, _ := mat.NewFromRows([][]float64{{1, 2}, {3, 4}})
+	return m
 }

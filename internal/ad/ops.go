@@ -22,11 +22,15 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 		panic(fmt.Sprintf("ad: MatMul inner dimension mismatch %dx%d · %dx%d",
 			a.Value.Rows(), a.Value.Cols(), b.Value.Rows(), b.Value.Cols()))
 	}
-	out := t.op(a.Value.Rows(), b.Value.Cols())
+	out := t.op(a.Value.Rows(), b.Value.Cols(), a, b)
 	mat.MatMulInto(out.Value, a.Value, b.Value)
 	out.backward = func() {
-		mat.MatMulT2AddInto(a.grad(), out.Grad, b.Value)
-		mat.MatMulT1AddInto(b.grad(), a.Value, out.Grad)
+		if !a.isConst {
+			mat.MatMulT2AddInto(a.grad(), out.Grad, b.Value)
+		}
+		if !b.isConst {
+			mat.MatMulT1AddInto(b.grad(), a.Value, out.Grad)
+		}
 	}
 	return out
 }
@@ -34,7 +38,7 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 // SpMM records c = S·x for a constant sparse operator S (the graph
 // propagation matrix). Gradient: ∂L/∂x = Sᵀ·∂L/∂c.
 func (t *Tape) SpMM(s *sparse.CSR, x *Node) *Node {
-	out := t.op(s.Rows(), x.Value.Cols())
+	out := t.op(s.Rows(), x.Value.Cols(), x)
 	s.MulDenseInto(out.Value, x.Value)
 	out.backward = func() {
 		s.TMulDenseAddInto(x.grad(), out.Grad)
@@ -42,13 +46,35 @@ func (t *Tape) SpMM(s *sparse.CSR, x *Node) *Node {
 	return out
 }
 
+// SparseMatMul records c = A·w for a constant sparse A, passed with its
+// transpose aT (A.Transpose()). Both passes run the dense kernel's per-cell
+// schedule over A's stored entries (sparse.CSR.MatMulInto), so the op is
+// bit-identical to MatMul(Const(A.ToDense()), w) at a cost proportional to
+// A's nonzeros. Gradient: ∂L/∂w = Aᵀ·∂L/∂c; A, a constant, gets none.
+func (t *Tape) SparseMatMul(a, aT *sparse.CSR, w *Node) *Node {
+	if a.Cols() != w.Value.Rows() || aT.Rows() != a.Cols() || aT.Cols() != a.Rows() {
+		panic(fmt.Sprintf("ad: SparseMatMul shapes %dx%d (transpose %dx%d) · %dx%d",
+			a.Rows(), a.Cols(), aT.Rows(), aT.Cols(), w.Value.Rows(), w.Value.Cols()))
+	}
+	out := t.op(a.Rows(), w.Value.Cols(), w)
+	a.MatMulInto(out.Value, w.Value)
+	out.backward = func() {
+		aT.MatMulAddInto(w.grad(), out.Grad)
+	}
+	return out
+}
+
 // Add records c = a + b element-wise.
 func (t *Tape) Add(a, b *Node) *Node {
-	out := t.op(a.Value.Dims())
+	out := t.op(a.Value.Rows(), a.Value.Cols(), a, b)
 	mat.AddInto(out.Value, a.Value, b.Value)
 	out.backward = func() {
-		a.grad().AddInPlace(out.Grad)
-		b.grad().AddInPlace(out.Grad)
+		if !a.isConst {
+			a.grad().AddInPlace(out.Grad)
+		}
+		if !b.isConst {
+			b.grad().AddInPlace(out.Grad)
+		}
 	}
 	return out
 }
@@ -56,29 +82,37 @@ func (t *Tape) Add(a, b *Node) *Node {
 // Sub records c = a − b element-wise. The backward pass subtracts the
 // upstream gradient in place — no negated temporary.
 func (t *Tape) Sub(a, b *Node) *Node {
-	out := t.op(a.Value.Dims())
+	out := t.op(a.Value.Rows(), a.Value.Cols(), a, b)
 	mat.SubInto(out.Value, a.Value, b.Value)
 	out.backward = func() {
-		a.grad().AddInPlace(out.Grad)
-		b.grad().SubInPlace(out.Grad)
+		if !a.isConst {
+			a.grad().AddInPlace(out.Grad)
+		}
+		if !b.isConst {
+			b.grad().SubInPlace(out.Grad)
+		}
 	}
 	return out
 }
 
 // Mul records the Hadamard product c = a ⊙ b.
 func (t *Tape) Mul(a, b *Node) *Node {
-	out := t.op(a.Value.Dims())
+	out := t.op(a.Value.Rows(), a.Value.Cols(), a, b)
 	mat.MulElemInto(out.Value, a.Value, b.Value)
 	out.backward = func() {
-		mat.MulElemAddInto(a.grad(), out.Grad, b.Value)
-		mat.MulElemAddInto(b.grad(), out.Grad, a.Value)
+		if !a.isConst {
+			mat.MulElemAddInto(a.grad(), out.Grad, b.Value)
+		}
+		if !b.isConst {
+			mat.MulElemAddInto(b.grad(), out.Grad, a.Value)
+		}
 	}
 	return out
 }
 
 // Scale records c = s·a for a constant scalar s.
 func (t *Tape) Scale(s float64, a *Node) *Node {
-	out := t.op(a.Value.Dims())
+	out := t.op(a.Value.Rows(), a.Value.Cols(), a)
 	mat.ScaleInto(out.Value, s, a.Value)
 	out.backward = func() {
 		a.grad().AXPY(s, out.Grad)
@@ -89,11 +123,15 @@ func (t *Tape) Scale(s float64, a *Node) *Node {
 // AddRowVec records c = a + v with v a 1×cols bias broadcast over rows.
 // Gradient to v is the column-wise sum of the upstream gradient.
 func (t *Tape) AddRowVec(a, v *Node) *Node {
-	out := t.op(a.Value.Dims())
+	out := t.op(a.Value.Rows(), a.Value.Cols(), a, v)
 	mat.AddRowVecInto(out.Value, a.Value, v.Value)
 	out.backward = func() {
-		a.grad().AddInPlace(out.Grad)
-		mat.SumRowsAXPY(v.grad(), 1, out.Grad)
+		if !a.isConst {
+			a.grad().AddInPlace(out.Grad)
+		}
+		if !v.isConst {
+			mat.SumRowsAXPY(v.grad(), 1, out.Grad)
+		}
 	}
 	return out
 }
@@ -101,11 +139,15 @@ func (t *Tape) AddRowVec(a, v *Node) *Node {
 // SubRowVec records c = a − v with v a 1×cols row vector broadcast over
 // rows. The v gradient is the negated column sum, accumulated directly.
 func (t *Tape) SubRowVec(a, v *Node) *Node {
-	out := t.op(a.Value.Dims())
+	out := t.op(a.Value.Rows(), a.Value.Cols(), a, v)
 	mat.SubRowVecInto(out.Value, a.Value, v.Value)
 	out.backward = func() {
-		a.grad().AddInPlace(out.Grad)
-		mat.SumRowsAXPY(v.grad(), -1, out.Grad)
+		if !a.isConst {
+			a.grad().AddInPlace(out.Grad)
+		}
+		if !v.isConst {
+			mat.SumRowsAXPY(v.grad(), -1, out.Grad)
+		}
 	}
 	return out
 }
@@ -114,7 +156,7 @@ func (t *Tape) SubRowVec(a, v *Node) *Node {
 // accumulation: upstream gradient flows into the grad buffer only where the
 // input was positive, with no mask-sized temporary.
 func (t *Tape) ReLU(a *Node) *Node {
-	out := t.op(a.Value.Dims())
+	out := t.op(a.Value.Rows(), a.Value.Cols(), a)
 	mat.ApplyInto(out.Value, a.Value, func(x float64) float64 {
 		if x > 0 {
 			return x
@@ -147,7 +189,7 @@ func (t *Tape) Dropout(a *Node, p float64, rng *rand.Rand, train bool) *Node {
 			md[i] = 1 / keep
 		}
 	}
-	out := t.op(a.Value.Dims())
+	out := t.op(a.Value.Rows(), a.Value.Cols(), a)
 	mat.MulElemInto(out.Value, a.Value, mask)
 	out.backward = func() {
 		mat.MulElemAddInto(a.grad(), out.Grad, mask)
@@ -157,7 +199,7 @@ func (t *Tape) Dropout(a *Node, p float64, rng *rand.Rand, train bool) *Node {
 
 // MeanRows records the 1×cols column-wise mean of a.
 func (t *Tape) MeanRows(a *Node) *Node {
-	out := t.op(1, a.Value.Cols())
+	out := t.op(1, a.Value.Cols(), a)
 	mat.MeanRowsInto(out.Value, a.Value)
 	out.backward = func() {
 		n := a.Value.Rows()
@@ -175,7 +217,7 @@ func (t *Tape) PowElem(a *Node, p int) *Node {
 	if p < 0 {
 		panic(fmt.Sprintf("ad: PowElem power must be >= 0, got %d", p))
 	}
-	out := t.op(a.Value.Dims())
+	out := t.op(a.Value.Rows(), a.Value.Cols(), a)
 	mat.PowElemInto(out.Value, a.Value, p)
 	out.backward = func() {
 		if p == 0 {
@@ -194,7 +236,7 @@ func (t *Tape) PowElem(a *Node, p int) *Node {
 // SelectRows records c = a[idx, :] (row gather). Gradient scatters back
 // directly into the grad buffer.
 func (t *Tape) SelectRows(a *Node, idx []int) *Node {
-	out := t.op(len(idx), a.Value.Cols())
+	out := t.op(len(idx), a.Value.Cols(), a)
 	a.Value.SelectRowsInto(out.Value, idx)
 	out.backward = func() {
 		g := a.grad()
@@ -212,7 +254,7 @@ func (t *Tape) SelectRows(a *Node, idx []int) *Node {
 // matrices). At a = 0 the subgradient 0 is used.
 func (t *Tape) L2Norm(a *Node) *Node {
 	norm := mat.FrobNorm(a.Value)
-	out := t.op(1, 1)
+	out := t.op(1, 1, a)
 	out.Value.Set(0, 0, norm)
 	out.backward = func() {
 		if norm == 0 {
@@ -225,7 +267,7 @@ func (t *Tape) L2Norm(a *Node) *Node {
 
 // SumSquares records the scalar Σ a_ij² = ‖a‖²_F.
 func (t *Tape) SumSquares(a *Node) *Node {
-	out := t.op(1, 1)
+	out := t.op(1, 1, a)
 	out.Value.Set(0, 0, mat.FrobNormSq(a.Value))
 	out.backward = func() {
 		a.grad().AXPY(2*out.Grad.At(0, 0), a.Value)
@@ -248,7 +290,7 @@ func (t *Tape) OrthoPenalty(w *Node) *Node {
 		g.Set(i, i, g.At(i, i)-1)
 	}
 	f := mat.FrobNorm(g)
-	out := t.op(1, 1)
+	out := t.op(1, 1, w)
 	out.Value.Set(0, 0, f)
 	out.backward = func() {
 		if f == 0 {
@@ -307,7 +349,7 @@ func (t *Tape) SoftmaxCrossEntropy(logits *Node, labels []int, maskIdx []int) *N
 		loss -= math.Log(math.Max(prow[y], 1e-300))
 	}
 	loss /= float64(len(maskIdx))
-	out := t.op(1, 1)
+	out := t.op(1, 1, logits)
 	out.Value.Set(0, 0, loss)
 	out.backward = func() {
 		scale := out.Grad.At(0, 0) / float64(len(maskIdx))

@@ -46,9 +46,13 @@ type Node struct {
 	// depend on, and is only valid until the tape is Released.
 	Grad *mat.Dense
 
-	backward func() // nil for leaves and constants
+	backward func() // nil for leaves
 	param    bool
-	tape     *Tape
+	// isConst marks a node no gradient flows into: a Const leaf, or an op
+	// whose every input is constant. Ops skip the backward kernel for
+	// constant inputs, so a constant's Grad stays nil.
+	isConst bool
+	tape    *Tape
 }
 
 // IsParam reports whether the node was created with Tape.Param.
@@ -62,12 +66,6 @@ func (n *Node) grad() *mat.Dense {
 		n.Grad = n.tape.newOwned(n.Value.Rows(), n.Value.Cols())
 	}
 	return n.Grad
-}
-
-// accumGrad adds g into n.Grad, allocating on first use. Retained for ops
-// whose upstream gradient is already materialised (pure pass-through adds).
-func (n *Node) accumGrad(g *mat.Dense) {
-	n.grad().AddInPlace(g)
 }
 
 // Tape records nodes in creation order. The forward pass is eager: calling
@@ -111,14 +109,23 @@ func (t *Tape) node(v *mat.Dense) *Node {
 	return n
 }
 
-// op vends a node whose value is a fresh tape-owned r×c pool buffer.
-func (t *Tape) op(r, c int) *Node {
-	return t.node(t.newOwned(r, c))
+// op vends a node whose value is a fresh tape-owned r×c pool buffer,
+// computed from the inputs in. The node is constant when every input is.
+func (t *Tape) op(r, c int, in ...*Node) *Node {
+	n := t.node(t.newOwned(r, c))
+	n.isConst = len(in) > 0
+	for _, x := range in {
+		n.isConst = n.isConst && x.isConst
+	}
+	return n
 }
 
-// Const records a constant: no gradient flows into it.
+// Const records a constant: no gradient flows into it, nor into any op
+// computed from constants alone.
 func (t *Tape) Const(v *mat.Dense) *Node {
-	return t.node(v)
+	n := t.node(v)
+	n.isConst = true
+	return n
 }
 
 // Param records a trainable parameter leaf. Its Grad is populated by
@@ -174,7 +181,7 @@ func (t *Tape) Backward(loss *Node) error {
 	seed.Set(0, 0, 1)
 	for i := idx; i >= 0; i-- {
 		n := t.nodes[i]
-		if n.Grad == nil || n.backward == nil {
+		if n.Grad == nil || n.backward == nil || n.isConst {
 			continue
 		}
 		n.backward()

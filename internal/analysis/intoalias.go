@@ -36,6 +36,8 @@ var noAliasKernels = map[string]kernelSpec{
 	pathMat + ".MatMulT1AddInto": {dst: 0, srcs: []int{1, 2}},
 	pathMat + ".MatMulT2Into":    {dst: 0, srcs: []int{1, 2}},
 	pathMat + ".MatMulT2AddInto": {dst: 0, srcs: []int{1, 2}},
+	// csrmm.go: out (+)= A·b with A as CSR slices; out must not alias b.
+	pathMat + ".MatMulCSRInto": {dst: 0, srcs: []int{4}},
 	// ops.go *Into family ("out must not alias the inputs unless noted").
 	pathMat + ".AddInto":        {dst: 0, srcs: []int{1, 2}},
 	pathMat + ".SubInto":        {dst: 0, srcs: []int{1, 2}},
@@ -59,6 +61,8 @@ var noAliasKernels = map[string]kernelSpec{
 	pathSparse + ".CSR.MulDenseAddInto":  {dst: 0, srcs: []int{1}},
 	pathSparse + ".CSR.TMulDenseInto":    {dst: 0, srcs: []int{1}},
 	pathSparse + ".CSR.TMulDenseAddInto": {dst: 0, srcs: []int{1}},
+	pathSparse + ".CSR.MatMulInto":       {dst: 0, srcs: []int{1}},
+	pathSparse + ".CSR.MatMulAddInto":    {dst: 0, srcs: []int{1}},
 }
 
 func runIntoAlias(p *Pass) {

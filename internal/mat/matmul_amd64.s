@@ -345,3 +345,97 @@ axloop:
 axdone:
 	VZEROUPPER
 	RET
+
+// func csrFMA32(acc, b *float64, ldb int, idx *int, vals *float64, n int)
+//
+// Register-resident FMA chains over one k-block of a sparse row:
+// acc[0:32] = fma(vals[e], b[idx[e]*ldb : +32], acc) for e = 0..n-1 in
+// order. Eight YMM accumulators hold the 32 cells across all n entries,
+// so each cell takes exactly the single-rounding steps of the 4×8
+// micro-kernels' chains, without touching memory between entries.
+TEXT ·csrFMA32(SB), NOSPLIT, $0-48
+	MOVQ acc+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ ldb+16(FP), R8
+	MOVQ idx+24(FP), R9
+	MOVQ vals+32(FP), R10
+	MOVQ n+40(FP), CX
+	SHLQ $3, R8
+	TESTQ CX, CX
+	JZ   f32done
+
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+
+f32loop:
+	MOVQ         (R9), AX
+	IMULQ        R8, AX
+	LEAQ         (SI)(AX*1), DX
+	VBROADCASTSD (R10), Y8
+	VFMADD231PD  (DX), Y8, Y0
+	VFMADD231PD  32(DX), Y8, Y1
+	VFMADD231PD  64(DX), Y8, Y2
+	VFMADD231PD  96(DX), Y8, Y3
+	VFMADD231PD  128(DX), Y8, Y4
+	VFMADD231PD  160(DX), Y8, Y5
+	VFMADD231PD  192(DX), Y8, Y6
+	VFMADD231PD  224(DX), Y8, Y7
+	ADDQ         $8, R9
+	ADDQ         $8, R10
+	DECQ         CX
+	JNZ          f32loop
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	VZEROUPPER
+
+f32done:
+	RET
+
+// func csrFMA8(acc, b *float64, ldb int, idx *int, vals *float64, n int)
+//
+// csrFMA32 for an 8-cell strip: acc[0:8] in two YMM accumulators.
+TEXT ·csrFMA8(SB), NOSPLIT, $0-48
+	MOVQ acc+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ ldb+16(FP), R8
+	MOVQ idx+24(FP), R9
+	MOVQ vals+32(FP), R10
+	MOVQ n+40(FP), CX
+	SHLQ $3, R8
+	TESTQ CX, CX
+	JZ   f8done
+
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+
+f8loop:
+	MOVQ         (R9), AX
+	IMULQ        R8, AX
+	LEAQ         (SI)(AX*1), DX
+	VBROADCASTSD (R10), Y8
+	VFMADD231PD  (DX), Y8, Y0
+	VFMADD231PD  32(DX), Y8, Y1
+	ADDQ         $8, R9
+	ADDQ         $8, R10
+	DECQ         CX
+	JNZ          f8loop
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VZEROUPPER
+
+f8done:
+	RET

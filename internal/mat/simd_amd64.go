@@ -44,3 +44,18 @@ func mmT2AVX2x4(po, pa, pb *float64, ldo, lda, ldb, kl int, accum bool)
 //
 //go:noescape
 func axpyAVX(dst, src *float64, alpha float64, n int)
+
+// csrFMA32 runs the FMA chains of 32 output cells over one k-block of a
+// sparse row: acc[0:32] = fma(vals[e], b[idx[e]*ldb+j], acc[j]) for
+// e = 0..n-1 in order, the accumulators register-resident throughout. Each
+// cell takes the single-rounding steps of the 4×8 micro-kernels, so the
+// sparse-operand kernel (csrmm.go) replays their chains bit for bit. Every
+// idx[e] must be a valid row of b.
+//
+//go:noescape
+func csrFMA32(acc, b *float64, ldb int, idx *int, vals *float64, n int)
+
+// csrFMA8 is csrFMA32 for an 8-cell strip.
+//
+//go:noescape
+func csrFMA8(acc, b *float64, ldb int, idx *int, vals *float64, n int)

@@ -20,3 +20,11 @@ func mmT2AVX2x4(po, pa, pb *float64, ldo, lda, ldb, kl int, accum bool) {
 func axpyAVX(dst, src *float64, alpha float64, n int) {
 	panic("mat: SIMD kernel called on non-amd64 build")
 }
+
+func csrFMA32(acc, b *float64, ldb int, idx *int, vals *float64, n int) {
+	panic("mat: SIMD kernel called on non-amd64 build")
+}
+
+func csrFMA8(acc, b *float64, ldb int, idx *int, vals *float64, n int) {
+	panic("mat: SIMD kernel called on non-amd64 build")
+}

@@ -120,8 +120,11 @@ func TestPropCache(t *testing.T) {
 	if p2 := c.propagated(s, x); p2 != p1 {
 		t.Fatal("cache miss on identical operands")
 	}
+	if p1.csr != nil {
+		t.Fatal("dense fixture took the CSR form")
+	}
 	want := s.MulDense(x)
-	for i, v := range p1.Data() {
+	for i, v := range p1.dense.Data() {
 		if v != want.Data()[i] {
 			t.Fatalf("cached propagation wrong at %d: %v != %v", i, v, want.Data()[i])
 		}

@@ -100,15 +100,14 @@ func newGCNInferencer(m *GCN, in Input) (*Inferencer, error) {
 	// Layer 1 reads the propagated features (S̃X)·W⁰, exactly like the
 	// training path's propCache rewrite; a single-layer GCN is therefore
 	// already in table·W form.
-	prop := in.S.MulDense(in.X)
 	w := m.params.At(layers - 1)
 	if layers == 1 {
-		return &Inferencer{table: prop, layers: []inferLayer{{w: w.Clone()}}, classes: w.Cols()}, nil
+		return &Inferencer{table: in.S.MulDense(in.X), layers: []inferLayer{{w: w.Clone()}}, classes: w.Cols()}, nil
 	}
-	z := prop
+	var z *mat.Dense
 	for l := 0; l+1 < layers; l++ {
 		if l == 0 {
-			z = mat.MatMul(prop, m.params.At(0))
+			z = newConstOperand(in.S, in.X).matMul(m.params.At(0))
 		} else {
 			z = in.S.MulDense(mat.MatMul(z, m.params.At(l)))
 		}
@@ -129,7 +128,7 @@ func newOrthoInferencer(m *OrthoGCN, in Input) (*Inferencer, error) {
 	// the same spectral bound the forward pass applies (Q̃ = Q/‖Q‖ when
 	// ‖Q‖ > 1); the table is the final propagation S̃·Z^{L-1}, so the head
 	// is just W_out.
-	z := mat.MatMul(in.S.MulDense(in.X), m.params.Get("w_in"))
+	z := newConstOperand(in.S, in.X).matMul(m.params.Get("w_in"))
 	reluInPlace(z)
 	for l := 1; l < m.hiddenLayers; l++ {
 		w := m.params.Get(fmt.Sprintf("w_ortho%d", l))

@@ -54,30 +54,92 @@ func paramNodes(tp *ad.Tape, ps *Params) []*ad.Node {
 	return nodes
 }
 
-// propCache memoises the propagated features S̃·X of a graph model's first
-// layer. Both operands are constants of the client — S̃ is fixed by the local
-// topology and X by the local features — so by associativity the first layer
-// S̃·(X·W⁰) can be computed as (S̃X)·W⁰ with S̃X built once: every forward
-// after the first saves one SpMM, and every backward saves the matching
-// Sᵀ·G, because the gradient stops at the constant.
+// propCache memoises the constant left operand of a model's first layer:
+// the propagated features S̃·X for graph models, the raw features X for the
+// MLP. Both S̃ and X are constants of the client — S̃ is fixed by the local
+// topology and X by the local features — so by associativity the GCN first
+// layer S̃·(X·W⁰) can be computed as (S̃X)·W⁰ with S̃X built once: every
+// forward after the first saves one SpMM, and every backward saves the
+// matching Sᵀ·G, because the gradient stops at the constant.
 //
 // The cache keys on operand identity, so swapping in a different graph or
 // feature matrix recomputes. It is not safe for concurrent use; models are
 // driven by one goroutine at a time (the fed.Client contract).
 type propCache struct {
-	s    *sparse.CSR
-	x    *mat.Dense
-	prop *mat.Dense
+	s  *sparse.CSR
+	x  *mat.Dense
+	op *constOperand
 }
 
-// propagated returns the cached S̃·X, computing it on first use or when the
-// operands change.
-func (c *propCache) propagated(s *sparse.CSR, x *mat.Dense) *mat.Dense {
-	if c.prop == nil || c.s != s || c.x != x {
-		c.prop = s.MulDense(x)
+// propagated returns the cached first-layer operand S̃·X (X when s is nil),
+// computing it on first use or when the operands change.
+func (c *propCache) propagated(s *sparse.CSR, x *mat.Dense) *constOperand {
+	if c.op == nil || c.s != s || c.x != x {
+		c.op = newConstOperand(s, x)
 		c.s, c.x = s, x
 	}
-	return c.prop
+	return c.op
+}
+
+// sparseOperandDensity is the inverse of the largest fraction of nonzeros
+// at which a constant first-layer operand is held in CSR form: nnz ≤
+// rows·cols/4. Bag-of-words features (Cora's X is 1.3% nonzero, its S̃X about
+// 5%) fall far below it; dense features (a 200k-node SBM's S̃X is 68%
+// nonzero) stay on the dense kernel.
+const sparseOperandDensity = 4
+
+// constOperand is the constant left operand A = S̃·X of a first-layer
+// product A·W, held dense or — when sparse enough — as CSR plus its
+// transpose. Both forms give bit-identical products and weight gradients
+// (ad.SparseMatMul); the CSR form costs in proportion to A's nonzeros and
+// draws no gradient buffer.
+type constOperand struct {
+	dense     *mat.Dense  // nil in CSR form
+	csr, csrT *sparse.CSR // A and Aᵀ (built on the first tape product); nil in dense form
+}
+
+// newConstOperand builds S̃·X (X itself when s is nil) in the form the
+// density rule picks. For S̃X the rule tests the number of products the
+// sparse propagation forms, which bounds S̃X's nonzeros and is known from a
+// counting pass over X, so dense S̃X is never attempted sparse; in CSR form
+// the dense S̃X is never materialised. Its entries equal the dense
+// propagation's nonzeros (sparse.CSR.MulDenseCSR).
+func newConstOperand(s *sparse.CSR, x *mat.Dense) *constOperand {
+	var a *sparse.CSR
+	if s == nil {
+		a = sparse.FromDense(x, x.Rows()*x.Cols()/sparseOperandDensity)
+	} else {
+		a = s.MulDenseCSR(x, s.Rows()*x.Cols()/sparseOperandDensity)
+	}
+	switch {
+	case a != nil:
+		return &constOperand{csr: a}
+	case s == nil:
+		return &constOperand{dense: x}
+	default:
+		return &constOperand{dense: s.MulDense(x)}
+	}
+}
+
+// mul records A·w on tp.
+func (o *constOperand) mul(tp *ad.Tape, w *ad.Node) *ad.Node {
+	if o.csr != nil {
+		if o.csrT == nil {
+			o.csrT = o.csr.Transpose()
+		}
+		return tp.SparseMatMul(o.csr, o.csrT, w)
+	}
+	return tp.MatMul(tp.Const(o.dense), w)
+}
+
+// matMul returns A·w off the tape, bit-identical to mul's value.
+func (o *constOperand) matMul(w *mat.Dense) *mat.Dense {
+	if o.csr == nil {
+		return mat.MatMul(o.dense, w)
+	}
+	out := mat.New(o.csr.Rows(), w.Cols())
+	o.csr.MatMulInto(out, w)
+	return out
 }
 
 // MLP is the FedMLP base model: Dense→ReLU→(dropout)→Dense, no structure.
@@ -85,6 +147,7 @@ type MLP struct {
 	params  *Params
 	dims    []int
 	dropout float64
+	feat    propCache // X as the first layer's operand
 }
 
 // NewMLP builds an MLP with the given layer dimensions (at least in/out) and
@@ -110,13 +173,18 @@ func (m *MLP) NeedsGraph() bool { return false }
 // Forward implements Model.
 func (m *MLP) Forward(tp *ad.Tape, in Input, rng *rand.Rand, train bool) *Forward {
 	nodes := paramNodes(tp, m.params)
-	z := tp.Const(in.X)
+	var z *ad.Node
 	var hidden []*ad.Node
 	layers := len(m.dims) - 1
 	for l := 0; l < layers; l++ {
 		w := nodes[2*l]
 		b := nodes[2*l+1]
-		z = tp.AddRowVec(tp.MatMul(z, w), b)
+		if l == 0 {
+			z = m.feat.propagated(nil, in.X).mul(tp, w)
+		} else {
+			z = tp.MatMul(z, w)
+		}
+		z = tp.AddRowVec(z, b)
 		if l+1 < layers {
 			z = tp.ReLU(z)
 			hidden = append(hidden, z)
@@ -166,7 +234,7 @@ func (m *GCN) Forward(tp *ad.Tape, in Input, rng *rand.Rand, train bool) *Forwar
 		if l == 0 {
 			// Layer 1 uses the cached propagated features:
 			// S̃·(X·W⁰) = (S̃X)·W⁰ with S̃X constant per client.
-			z = tp.MatMul(tp.Const(m.prop.propagated(in.S, in.X)), nodes[0])
+			z = m.prop.propagated(in.S, in.X).mul(tp, nodes[0])
 		} else {
 			z = tp.SpMM(in.S, tp.MatMul(z, nodes[l]))
 		}
@@ -254,7 +322,7 @@ func (m *OrthoGCN) Forward(tp *ad.Tape, in Input, rng *rand.Rand, train bool) *F
 	// Layer 1: Z¹ = σ(S̃ X W⁰) = σ((S̃X) W⁰)  (eq. 7) — S̃X is constant per
 	// client, so it is propagated once and cached; the rewrite drops one
 	// SpMM from every forward and one Sᵀ·G from every backward.
-	z := tp.ReLU(tp.MatMul(tp.Const(m.prop.propagated(in.S, in.X)), nodes[0]))
+	z := tp.ReLU(m.prop.propagated(in.S, in.X).mul(tp, nodes[0]))
 	hidden := []*ad.Node{z}
 	var orthoNodes []*ad.Node
 	z = tp.Dropout(z, m.dropout, rng, train)

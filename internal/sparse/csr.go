@@ -14,6 +14,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"fedomd/internal/mat"
@@ -146,6 +147,53 @@ func NewCSRFromParts(rows, cols int, rowPtr, colIdx []int, vals []float64) (*CSR
 		}
 	}
 	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}, nil
+}
+
+// FromDense returns the CSR form of d's nonzero entries, columns ascending
+// within each row, or nil when more than maxNNZ entries are nonzero. A
+// counting pass, which stops at the limit, sizes the arrays exactly.
+func FromDense(d *mat.Dense, maxNNZ int) *CSR {
+	rowPtr := nnzPrefix(d, maxNNZ)
+	if rowPtr == nil {
+		return nil
+	}
+	return fromDenseRows(d, rowPtr)
+}
+
+// nnzPrefix returns the prefix sums of d's per-row nonzero counts, the
+// rowPtr of its CSR form, or nil once the total passes limit.
+func nnzPrefix(d *mat.Dense, limit int) []int {
+	rowPtr := make([]int, d.Rows()+1)
+	for i := 0; i < d.Rows(); i++ {
+		n := rowPtr[i]
+		for _, v := range d.Row(i) {
+			if v != 0 {
+				n++
+			}
+		}
+		if n > limit {
+			return nil
+		}
+		rowPtr[i+1] = n
+	}
+	return rowPtr
+}
+
+// fromDenseRows fills the CSR form of d whose rowPtr nnzPrefix computed.
+func fromDenseRows(d *mat.Dense, rowPtr []int) *CSR {
+	rows, cols := d.Dims()
+	nnz := rowPtr[rows]
+	m := &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: make([]int, nnz), vals: make([]float64, nnz)}
+	k := 0
+	for i := 0; i < rows; i++ {
+		for j, v := range d.Row(i) {
+			if v != 0 {
+				m.colIdx[k], m.vals[k] = j, v
+				k++
+			}
+		}
+	}
+	return m
 }
 
 // Identity returns the n×n identity in CSR form.
@@ -305,6 +353,88 @@ func (m *CSR) mulDenseRange(out, x *mat.Dense, lo, hi int, accum bool) {
 			}
 		}
 	}
+}
+
+// MatMulInto computes out = m·x on the dense kernel's per-cell schedule
+// (mat.MatMulCSRInto): for finite x it is bit-identical to
+// mat.MatMulInto(out, m.ToDense(), x) at a cost proportional to m's stored
+// entries. It serves constant sparse operands whose product must match the
+// dense one exactly (a GCN's first layer); graph propagation uses the faster
+// MulDenseInto, which has no dense twin to match.
+func (m *CSR) MatMulInto(out, x *mat.Dense) {
+	m.matMulDispatch(out, x, false)
+}
+
+// MatMulAddInto computes out += m·x, bit-identical to mat.MatMulAddInto on
+// the densified m. On the transpose of a matrix a it reproduces
+// mat.MatMulT1AddInto(out, a.ToDense(), x): the weight gradient of a layer
+// whose input is the constant a.
+func (m *CSR) MatMulAddInto(out, x *mat.Dense) {
+	m.matMulDispatch(out, x, true)
+}
+
+func (m *CSR) matMulDispatch(out, x *mat.Dense, accum bool) {
+	if m.cols != x.Rows() {
+		panic(fmt.Sprintf("sparse: MatMul dimension mismatch %dx%d · %dx%d", m.rows, m.cols, x.Rows(), x.Cols()))
+	}
+	mat.MatMulCSRInto(out, m.rowPtr[:m.rows+1], m.colIdx, m.vals, x, accum)
+}
+
+// MulDenseCSR returns m·x in CSR form for a mostly-zero dense x, or nil
+// when forming it takes more than maxTerms products. The product count —
+// Σ over m's stored entries (i, k) of the nonzeros in x's row k — bounds
+// the result's nonzeros and is known after one counting pass over x,
+// before anything else is allocated. Each output row accumulates in
+// MulDense's order (m's entries ascending, one multiply and one add per
+// term) over x's nonzeros only, so for finite values the result stores
+// exactly the nonzeros of m.MulDense(x).
+func (m *CSR) MulDenseCSR(x *mat.Dense, maxTerms int) *CSR {
+	if m.cols != x.Rows() {
+		panic(fmt.Sprintf("sparse: MulDenseCSR dimension mismatch %dx%d · %dx%d", m.rows, m.cols, x.Rows(), x.Cols()))
+	}
+	xPtr := nnzPrefix(x, math.MaxInt)
+	terms := 0
+	for k := m.rowPtr[0]; k < m.rowPtr[m.rows]; k++ {
+		r := m.colIdx[k]
+		terms += xPtr[r+1] - xPtr[r]
+	}
+	if terms > maxTerms {
+		return nil
+	}
+	spmmCalls.Add(1)
+	spmmFlops.Add(2 * int64(terms))
+	xs := fromDenseRows(x, xPtr)
+	out := &CSR{rows: m.rows, cols: x.Cols(), rowPtr: make([]int, m.rows+1),
+		colIdx: make([]int, 0, terms), vals: make([]float64, 0, terms)}
+	acc := make([]float64, x.Cols())
+	// touched marks the columns the current row has reached; walking its
+	// set bits yields them in ascending order.
+	touched := make([]uint64, (x.Cols()+63)/64)
+	for i := 0; i < m.rows; i++ {
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			r, s := m.colIdx[k], m.vals[k]
+			for q := xs.rowPtr[r]; q < xs.rowPtr[r+1]; q++ {
+				j := xs.colIdx[q]
+				if w, bit := j>>6, uint64(1)<<(j&63); touched[w]&bit == 0 {
+					touched[w] |= bit
+					acc[j] = 0
+				}
+				acc[j] += s * xs.vals[q]
+			}
+		}
+		for w, word := range touched {
+			for ; word != 0; word &= word - 1 {
+				j := w<<6 + bits.TrailingZeros64(word)
+				if acc[j] != 0 {
+					out.colIdx = append(out.colIdx, j)
+					out.vals = append(out.vals, acc[j])
+				}
+			}
+			touched[w] = 0
+		}
+		out.rowPtr[i+1] = len(out.colIdx)
+	}
+	return out
 }
 
 // tmulStripeWork is the multiply-add count one transposed-SpMM stripe aims

@@ -94,6 +94,103 @@ func TestTMulDenseMatchesDense(t *testing.T) {
 	}
 }
 
+// TestMatMulIntoMatchesDenseKernel checks the dense-order product against
+// the dense kernels bit for bit: plain, accumulating, on a row-range shard,
+// and on the transpose against the aᵀ·b kernel.
+func TestMatMulIntoMatchesDenseKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	a := randomCSR(rng, 70, 600, 0.05)
+	x := mat.RandGaussian(rng, 600, 20, 0, 1)
+	same := func(what string, got, want *mat.Dense) {
+		t.Helper()
+		for i, v := range want.Data() {
+			if math.Float64bits(got.Data()[i]) != math.Float64bits(v) {
+				t.Fatalf("%s: element %d = %v, dense kernel %v", what, i, got.Data()[i], v)
+			}
+		}
+	}
+	got := mat.New(70, 20)
+	a.MatMulInto(got, x)
+	same("MatMulInto", got, mat.MatMul(a.ToDense(), x))
+
+	want := mat.RandGaussian(rng, 70, 20, 0, 1)
+	got = want.Clone()
+	mat.MatMulAddInto(want, a.ToDense(), x)
+	a.MatMulAddInto(got, x)
+	same("MatMulAddInto", got, want)
+
+	sh := a.Shard(13, 50)
+	got = mat.New(37, 20)
+	sh.MatMulInto(got, x)
+	same("shard MatMulInto", got, mat.MatMul(sh.ToDense(), x))
+
+	g := mat.RandGaussian(rng, 70, 20, 0, 1)
+	want = mat.RandGaussian(rng, 600, 20, 0, 1)
+	got = want.Clone()
+	mat.MatMulT1AddInto(want, a.ToDense(), g)
+	a.Transpose().MatMulAddInto(got, g)
+	same("transpose MatMulAddInto", got, want)
+}
+
+// TestMulDenseCSRMatchesMulDense checks the sparse-features propagation
+// against the sparse·dense kernel bit for bit, including an exact
+// cancellation that must not be stored, and its product-count limit.
+func TestMulDenseCSRMatchesMulDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	m := randomCSR(rng, 50, 40, 0.1)
+	x := randomCSR(rng, 40, 300, 0.03).ToDense()
+	terms := 0
+	for i := 0; i < m.Rows(); i++ {
+		m.RowEntries(i, func(k int, _ float64) {
+			for _, v := range x.Row(k) {
+				if v != 0 {
+					terms++
+				}
+			}
+		})
+	}
+	got := m.MulDenseCSR(x, terms)
+	want := m.MulDense(x)
+	nnz := 0
+	for _, v := range want.Data() {
+		if v != 0 {
+			nnz++
+		}
+	}
+	if got == nil || got.NNZ() != nnz {
+		t.Fatalf("MulDenseCSR stores %v, product has %d nonzeros", got, nnz)
+	}
+	for i, v := range got.ToDense().Data() {
+		if math.Float64bits(v) != math.Float64bits(want.Data()[i]) {
+			t.Fatalf("element %d = %v, MulDense %v", i, v, want.Data()[i])
+		}
+	}
+	if m.MulDenseCSR(x, terms-1) != nil {
+		t.Fatal("MulDenseCSR ignored its product limit")
+	}
+	cancel := mustCSR(t, 1, 2, []Coord{{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 1, Val: -1}})
+	same, _ := mat.NewFromRows([][]float64{{3}, {3}})
+	if p := cancel.MulDenseCSR(same, 2); p == nil || p.NNZ() != 0 {
+		t.Fatalf("exact cancellation stored entries: %v", p)
+	}
+}
+
+func TestFromDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a := randomCSR(rng, 12, 9, 0.3)
+	d := a.ToDense()
+	b := FromDense(d, a.NNZ())
+	if b == nil || b.NNZ() != a.NNZ() || !b.ToDense().Equal(d) {
+		t.Fatalf("FromDense round trip: %v, want %d stored entries", b, a.NNZ())
+	}
+	if FromDense(d, a.NNZ()-1) != nil {
+		t.Fatal("FromDense ignored its entry limit")
+	}
+	if z := FromDense(mat.New(3, 4), 0); z == nil || z.NNZ() != 0 {
+		t.Fatal("FromDense stored zeros")
+	}
+}
+
 func TestMulDenseShapePanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
