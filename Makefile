@@ -16,8 +16,10 @@ fmt:
 	@out=$$($(FMT_FILES) | xargs gofmt -l); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# perfbench is its own Go module, so the root `go vet ./...` never reaches it.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # Project-specific static analysis: the full eight-analyzer suite (see
 # DESIGN.md §8, §13). Non-zero exit on any diagnostic; -timing shows where
@@ -68,7 +70,7 @@ check:
 	out=$$($(FMT_FILES) | xargs gofmt -l); t1=$$(date +%s); if [ -n "$$out" ]; then \
 		echo "FAIL gofmt ($$((t1-t0))s) — run gofmt -w on:"; echo "$$out"; fail=1; \
 	else echo "ok   gofmt ($$((t1-t0))s)"; fi; \
-	t0=$$(date +%s); if $(GO) vet ./...; then t1=$$(date +%s); echo "ok   go vet ($$((t1-t0))s)"; \
+	t0=$$(date +%s); if $(GO) vet ./... && (cd perfbench && $(GO) vet ./...); then t1=$$(date +%s); echo "ok   go vet ($$((t1-t0))s)"; \
 	else t1=$$(date +%s); echo "FAIL go vet ($$((t1-t0))s)"; fail=1; fi; \
 	t0=$$(date +%s); if $(GO) run ./cmd/fedomdvet -timing ./...; then t1=$$(date +%s); echo "ok   fedomdvet ($$((t1-t0))s)"; \
 	else t1=$$(date +%s); echo "FAIL fedomdvet ($$((t1-t0))s)"; fail=1; fi; \

@@ -75,6 +75,22 @@ func TestGoldenRunInProcess(t *testing.T) {
 	}
 }
 
+// goldenAsyncInProcess pins the buffered engine on real FedOMD clients: with
+// BufferK equal to the fleet size every fold waits for all three parties, so
+// the means, moments and aux path of the async job is deterministic. It was
+// recorded before the sync and async engines shared their per-party steps.
+const goldenAsyncInProcess = "7751c7190e2989df"
+
+func TestGoldenAsyncRunInProcess(t *testing.T) {
+	res, err := fed.Run(fed.Config{Rounds: 10, Aggregation: fed.AggAsync, BufferK: 3}, goldenFleet(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runDigest(res); got != goldenAsyncInProcess {
+		t.Fatalf("in-process async run digest %s, golden %s", got, goldenAsyncInProcess)
+	}
+}
+
 func TestGoldenRunLoopbackQ8(t *testing.T) {
 	if got := loopbackQ8Digest(t, goldenFleet(t)); got != goldenLoopback {
 		t.Fatalf("loopback q8 run digest %s, golden %s", got, goldenLoopback)

@@ -1,35 +1,35 @@
 package fed
 
 // async.go implements the buffered asynchronous aggregation mode
-// (Config.Aggregation == AggAsync): a FedBuff-style no-barrier round loop in
-// which the coordinator dispatches training jobs to every idle sampled party,
-// collects the first BufferK arrivals of each logical round, and folds them
-// into the global model with staleness-discounted weights w_i/(1+s)^α, where
-// s is the number of logical rounds elapsed since the update's global was
-// dispatched. Late arrivals are not discarded at a barrier — they fold into
-// the next round's buffer — and the paper's central-moment aggregation
-// decomposes into weighted sums, so the same discounted fold applies exactly
-// to the mean/moment statistics and to aux state. Updates older than
-// MaxStaleness at fold time are evicted (their party takes a policy failure,
-// and the party's uplink codec residuals are dropped via Encoder.Reset since
-// the encoded frame was never applied); a party benched by Quarantine while
-// its update was in flight has that update rejected at fold time. The
-// DropRound/Quarantine/quorum machinery of failure.go composes unchanged.
+// (Config.Aggregation == AggAsync): a FedBuff-style no-barrier round body of
+// Run's loop, in which the coordinator dispatches training jobs to every
+// idle sampled party, collects the first BufferK arrivals of each logical
+// round, and folds them into the global model with staleness-discounted
+// weights w_i/(1+s)^α, where s is the number of logical rounds elapsed since
+// the update's global was dispatched. Late arrivals are not discarded at a
+// barrier — they fold into the next round's buffer — and the paper's
+// central-moment aggregation decomposes into weighted sums, so the same
+// discounted fold applies exactly to the mean/moment statistics and to aux
+// state. Updates older than MaxStaleness at fold time are evicted (their
+// party takes a policy failure, and the party's uplink codec residuals are
+// dropped via Encoder.Reset since the encoded frame was never applied); a
+// party benched by Quarantine while its update was in flight has that update
+// rejected at fold time. The DropRound/Quarantine/quorum machinery of
+// failure.go composes unchanged.
 //
-// Concurrency model: one worker goroutine per in-flight job, sequencing its
-// party's client calls through runState.call (busy flag + per-call timeout,
-// exactly the sync loop's per-op discipline). The coordinator alone touches
-// runState's per-round bookkeeping, the buffer, and the codec per-party
-// reset; globals and statistics snapshots handed to workers are immutable
-// once published (every fold builds fresh matrices). A party is redispatched
-// only when it is neither in flight nor holding a buffered update, so its
-// uplink encoder is never used concurrently with a fold-time Reset.
+// Concurrency model: one worker goroutine per in-flight job, running the same
+// per-party steps as the sync round (busy flag + per-call timeout via
+// runState.call). The coordinator alone touches runState's per-round
+// bookkeeping, the buffer, and the codec per-party reset; globals and
+// statistics snapshots handed to workers are immutable once published (every
+// fold builds fresh matrices). A party is redispatched only when it is
+// neither in flight nor holding a buffered update, so its uplink encoder is
+// never used concurrently with a fold-time Reset.
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
@@ -114,11 +114,7 @@ type asyncStats struct {
 // fleet size, so a worker can never block: each party has at most one job in
 // flight).
 type asyncEngine struct {
-	cfg *Config
-	st  *runState
-	cs  *codecState
-	rec telemetry.Recorder
-	tr  *obs.Tracer
+	st *runState
 
 	k        int     // buffer threshold per logical round
 	maxStale int     // eviction bound, in logical rounds
@@ -130,24 +126,18 @@ type asyncEngine struct {
 	buffer       []*asyncUpdate // arrived, not yet folded; arrival order
 	arrivals     chan *asyncUpdate
 	stats        asyncStats
-	allMoment    bool
 }
 
-func newAsyncEngine(cfg *Config, st *runState, cs *codecState, rec telemetry.Recorder, tr *obs.Tracer, allMoment bool) *asyncEngine {
+func newAsyncEngine(st *runState) *asyncEngine {
 	n := len(st.clients)
 	eng := &asyncEngine{
-		cfg:          cfg,
 		st:           st,
-		cs:           cs,
-		rec:          rec,
-		tr:           tr,
-		k:            cfg.BufferK,
-		maxStale:     cfg.MaxStaleness,
-		alpha:        cfg.StalenessAlpha,
+		k:            st.cfg.BufferK,
+		maxStale:     st.cfg.MaxStaleness,
+		alpha:        st.cfg.StalenessAlpha,
 		inflight:     make([]bool, n),
 		lastDispatch: make([]int, n),
 		arrivals:     make(chan *asyncUpdate, n),
-		allMoment:    allMoment,
 	}
 	if eng.k <= 0 {
 		eng.k = (n + 1) / 2 // ⌈M/2⌉: absorb the slow half of the fleet
@@ -175,12 +165,9 @@ func (eng *asyncEngine) discount(staleness int) float64 {
 // actually folded, so an evicted or rejected frame would silently corrupt
 // the party's next delta encode.
 func (eng *asyncEngine) discard(u *asyncUpdate) {
-	if u.pooled && u.params != nil {
-		codec.PutParams(u.params)
-		u.params = nil
-	}
-	if u.encoded && eng.cs != nil {
-		eng.cs.up[u.party].Reset()
+	eng.release(u)
+	if u.encoded && eng.st.cs != nil {
+		eng.st.cs.up[u.party].Reset()
 	}
 }
 
@@ -215,14 +202,14 @@ func (eng *asyncEngine) dispatch(parent obs.SpanContext, i, round int, global *n
 	eng.inflight[i] = true
 	eng.nFlight++
 	eng.lastDispatch[i] = round
-	eng.rec.Count(MetricAsyncDispatched, 1)
+	eng.st.rec.Count(MetricAsyncDispatched, 1)
 	snap := eng.stats
 	go func() {
 		u := &asyncUpdate{party: i, dispatch: round, encBytes: -1}
-		jsp := eng.tr.Start(parent, obs.SpanAsyncJob)
+		jsp := eng.st.tr.Start(parent, obs.SpanAsyncJob)
 		jsp.SetAttr(obs.AttrParty, eng.st.clients[i].Name())
 		jsp.SetAttr(obs.AttrDispatch, round)
-		eng.runJob(jsp.Context(), u, i, round, global, snap)
+		u.err = eng.runJob(jsp.Context(), u, global, snap)
 		if u.err != nil {
 			jsp.SetAttr(obs.AttrErr, u.err.Error())
 		}
@@ -232,157 +219,66 @@ func (eng *asyncEngine) dispatch(parent obs.SpanContext, i, round int, global *n
 }
 
 // runJob drives one party through the full per-round protocol — broadcast,
-// statistics, training, upload — writing results into u. Any failed op sets
-// u.err and stops the job; the coordinator routes it to the failure policy.
-func (eng *asyncEngine) runJob(ctx obs.SpanContext, u *asyncUpdate, i, round int, global *nn.Params, snap asyncStats) {
-	st := eng.st
-	c := st.clients[i]
-
-	if err := st.call(i, func() error { return c.SetParams(global) }); err != nil {
-		u.err = fmt.Errorf("fed: broadcast to %s: %w", c.Name(), err)
-		return
+// statistics, training, upload — writing results into u. The first failed
+// op stops the job; the coordinator routes its error to the failure policy.
+// Moments are centred on the dispatch-time global means in snap, one fold
+// behind the sync round's.
+func (eng *asyncEngine) runJob(ctx obs.SpanContext, u *asyncUpdate, global *nn.Params, snap asyncStats) error {
+	st, i := eng.st, u.party
+	if err := st.setGlobal(i, global); err != nil {
+		return err
 	}
-	if eng.cs != nil && !transportCoded(c) {
-		n, err := eng.cs.broadcast(i, global)
-		if err != nil {
-			u.err = err
-			return
-		}
-		u.downBytes += n
-	} else {
-		u.downBytes += int64(global.Bytes())
+	down, err := st.cs.broadcast(st.clients[i], i, global)
+	if err != nil {
+		return err
 	}
-
-	if mc, ok := c.(MomentClient); ok && eng.allMoment {
-		var means []*mat.Dense
-		var n int
-		err := st.call(i, func() error {
-			var e error
-			means, n, e = mc.LocalMeans()
-			return e
-		})
-		if err == nil && !finiteVecs(means) {
-			err = ErrNonFinite
+	u.downBytes += down
+	if st.allMoment {
+		if u.means, u.count, err = st.localMeans(i); err != nil {
+			return err
 		}
-		if err != nil {
-			u.err = fmt.Errorf("fed: means from %s: %w", c.Name(), err)
-			return
-		}
-		u.means, u.count = means, n
-		u.upBytes += bytesOfVecs(means) + 8
+		u.upBytes += bytesOfVecs(u.means) + 8
 		if snap.means != nil {
 			u.downBytes += bytesOfVecs(snap.means)
-			var moms [][]*mat.Dense
-			err := st.call(i, func() error {
-				var e error
-				moms, _, e = mc.CentralAroundGlobal(snap.means)
-				return e
-			})
-			if err == nil && !finiteMoms(moms) {
-				err = ErrNonFinite
+			if u.moms, _, err = st.centralMoments(i, snap.means); err != nil {
+				return err
 			}
-			if err != nil {
-				u.err = fmt.Errorf("fed: moments from %s: %w", c.Name(), err)
-				return
-			}
-			u.moms = moms
-			for _, layer := range moms {
-				u.upBytes += bytesOfVecs(layer)
-			}
-			u.upBytes += 8
+			u.upBytes += bytesOfMoms(u.moms) + 8
 			if snap.central != nil {
-				if err := st.call(i, func() error {
-					mc.SetGlobalStats(snap.means, snap.central)
-					return nil
-				}); err != nil {
-					u.err = fmt.Errorf("fed: global stats to %s: %w", c.Name(), err)
-					return
+				if err := st.setGlobalStats(i, snap.means, snap.central); err != nil {
+					return err
 				}
-				for _, layer := range snap.central {
-					u.downBytes += bytesOfVecs(layer)
-				}
+				u.downBytes += bytesOfMoms(snap.central)
 			}
 		}
 	}
-
-	if ac, ok := c.(AuxClient); ok && snap.aux != nil {
-		if err := st.call(i, func() error { return ac.DownloadAux(snap.aux) }); err != nil {
-			u.err = fmt.Errorf("fed: aux download to %s: %w", c.Name(), err)
-			return
+	if snap.aux != nil {
+		if down, err = st.downloadAux(i, snap.aux); err != nil {
+			return err
 		}
-		u.downBytes += int64(snap.aux.Bytes())
+		u.downBytes += down
 	}
-
-	clientSpan := telemetry.StartSpan(eng.rec, MetricClientTrainSecs)
-	tsp := eng.tr.Start(ctx, obs.SpanClientTrain)
-	tsp.SetAttr(obs.AttrParty, c.Name())
-	t0 := time.Now()
-	var loss float64
-	err := st.call(i, func() error {
-		l, e := c.TrainLocal(round)
-		loss = l
-		return e
-	})
-	u.trainSecs = time.Since(t0).Seconds()
+	if u.loss, u.trainSecs, err = st.train(ctx, i, u.dispatch); err != nil {
+		return err
+	}
+	var up int64
+	u.params, u.encBytes, up, err = st.upload(ctx, i, nil)
+	// A decoded upload is pooled and its frame advanced the party's
+	// residuals; discard() releases and resets them if the update never
+	// folds, including when a screen fails here.
+	u.pooled = u.encBytes >= 0
+	u.encoded = u.pooled
 	if err != nil {
-		clientSpan.Cancel()
-		tsp.End()
-		u.err = fmt.Errorf("fed: client %s round %d: %w", c.Name(), round, err)
-		return
+		return err
 	}
-	clientSpan.End()
-	tsp.End()
-	u.loss = loss
-
-	usp := eng.tr.Start(ctx, obs.SpanClientUpload)
-	usp.SetAttr(obs.AttrParty, c.Name())
-	var p *nn.Params
-	err = st.call(i, func() error { p = c.Params(); return nil })
-	if err == nil && eng.cs != nil && !transportCoded(c) {
-		dec, enc, cerr := eng.cs.upload(i, p)
-		if cerr != nil {
-			err = cerr
-		} else {
-			p = dec
-			u.params = dec // discard() releases it if a later screen fails
-			u.pooled = true
-			u.encoded = true
-			u.encBytes = enc
-		}
+	u.upBytes += up
+	if u.aux, err = st.uploadAux(i); err != nil {
+		return err
 	}
-	if err == nil && !finiteParams(p) {
-		err = ErrNonFinite
+	if u.aux != nil {
+		u.upBytes += int64(u.aux.Bytes())
 	}
-	if err != nil {
-		usp.SetAttr(obs.AttrErr, err.Error())
-		usp.End()
-		u.err = fmt.Errorf("fed: upload from %s: %w", c.Name(), err)
-		return
-	}
-	u.params = p
-	if u.encBytes >= 0 {
-		u.upBytes += u.encBytes
-		usp.SetAttr(obs.AttrBytesEnc, u.encBytes)
-	} else {
-		u.upBytes += int64(p.Bytes())
-	}
-	usp.End()
-
-	if ac, ok := c.(AuxClient); ok {
-		var aux *nn.Params
-		err := st.call(i, func() error { aux = ac.UploadAux(); return nil })
-		if err == nil && aux != nil && !finiteParams(aux) {
-			err = ErrNonFinite
-		}
-		if err != nil {
-			u.err = fmt.Errorf("fed: aux upload from %s: %w", c.Name(), err)
-			return
-		}
-		if aux != nil {
-			u.aux = aux
-			u.upBytes += int64(aux.Bytes())
-		}
-	}
+	return nil
 }
 
 // absorb files one arrival: failures go to the failure policy (the returned
@@ -450,7 +346,7 @@ func (eng *asyncEngine) fold(round int, global *nn.Params, stats *RoundStats) (*
 	}
 	rest := eng.buffer[len(take):]
 	if len(rest) > 0 {
-		eng.rec.Count(MetricAsyncCarried, int64(len(rest)))
+		eng.st.rec.Count(MetricAsyncCarried, int64(len(rest)))
 	}
 	eng.buffer = append([]*asyncUpdate(nil), rest...)
 
@@ -460,12 +356,12 @@ func (eng *asyncEngine) fold(round int, global *nn.Params, stats *RoundStats) (*
 		if st.benched(u.party, round) {
 			// Benched while in flight: the bench already penalized the
 			// party, so the update is rejected without a fresh strike.
-			eng.rec.Count(MetricAsyncRejected, 1)
+			st.rec.Count(MetricAsyncRejected, 1)
 			eng.discard(u)
 			continue
 		}
 		if s := round - u.dispatch; s > eng.maxStale {
-			eng.rec.Count(MetricAsyncEvicted, 1)
+			st.rec.Count(MetricAsyncEvicted, 1)
 			ferr := st.fail(u.party, fmt.Errorf("fed: update from %s dispatched round %d folded round %d: %w",
 				st.clients[u.party].Name(), u.dispatch, round, ErrStaleUpdate))
 			eng.discard(u)
@@ -475,7 +371,7 @@ func (eng *asyncEngine) fold(round int, global *nn.Params, stats *RoundStats) (*
 			continue
 		}
 		badShape := global.Compatible(u.params)
-		if badShape == nil && eng.allMoment && u.means != nil {
+		if badShape == nil && st.allMoment && u.means != nil {
 			if statsRef == nil {
 				statsRef = u
 			} else if !statsShapeOK(u, statsRef) {
@@ -522,14 +418,14 @@ func (eng *asyncEngine) fold(round int, global *nn.Params, stats *RoundStats) (*
 		lossSum += w * u.loss
 		lossW += w
 		st.touched[u.party] = true
-		eng.rec.Observe(MetricAsyncStaleness, float64(s))
+		st.rec.Observe(MetricAsyncStaleness, float64(s))
 		out.parties = append(out.parties, obs.PartyObservation{
 			Name:         st.clients[u.party].Name(),
 			TrainSeconds: u.trainSecs,
 			Dropped:      st.dropped[u.party],
 		})
 	}
-	eng.rec.Count(MetricAsyncFolded, int64(len(kept)))
+	st.rec.Count(MetricAsyncFolded, int64(len(kept)))
 	if lossW > 0 {
 		out.trainLoss = lossSum / lossW
 	}
@@ -542,7 +438,7 @@ func (eng *asyncEngine) fold(round int, global *nn.Params, stats *RoundStats) (*
 	}
 	out.global = agg
 
-	if eng.allMoment {
+	if st.allMoment {
 		eng.foldStats(kept, round)
 	}
 	if err := eng.foldAux(kept, round); err != nil {
@@ -572,16 +468,8 @@ func (eng *asyncEngine) foldStats(kept []*asyncUpdate, round int) {
 	}
 	layers := len(contrib[0].means)
 	newMeans := make([]*mat.Dense, layers)
-	for l := 0; l < layers; l++ {
-		acc := mat.New(contrib[0].means[l].Rows(), contrib[0].means[l].Cols())
-		var wsum float64
-		for _, u := range contrib {
-			w := float64(u.count) * eng.discount(round-u.dispatch)
-			acc.AXPY(w, u.means[l])
-			wsum += w
-		}
-		acc.ScaleInPlace(1 / wsum)
-		newMeans[l] = acc
+	for l := range newMeans {
+		newMeans[l] = eng.discountedMean(contrib, round, func(u *asyncUpdate) *mat.Dense { return u.means[l] })
 	}
 	eng.stats.means = newMeans
 
@@ -599,18 +487,23 @@ func (eng *asyncEngine) foldStats(kept []*asyncUpdate, round int) {
 		orders := len(momful[0].moms[l])
 		newCentral[l] = make([]*mat.Dense, orders)
 		for o := 0; o < orders; o++ {
-			acc := mat.New(momful[0].moms[l][o].Rows(), momful[0].moms[l][o].Cols())
-			var wsum float64
-			for _, u := range momful {
-				w := float64(u.count) * eng.discount(round-u.dispatch)
-				acc.AXPY(w, u.moms[l][o])
-				wsum += w
-			}
-			acc.ScaleInPlace(1 / wsum)
-			newCentral[l][o] = acc
+			newCentral[l][o] = eng.discountedMean(momful, round, func(u *asyncUpdate) *mat.Dense { return u.moms[l][o] })
 		}
 	}
 	eng.stats.central = newCentral
+}
+
+// discountedMean is Σ w_u·x(u) / Σ w_u over us, with w_u = count_u/(1+s_u)^α.
+func (eng *asyncEngine) discountedMean(us []*asyncUpdate, round int, x func(*asyncUpdate) *mat.Dense) *mat.Dense {
+	acc := mat.New(x(us[0]).Rows(), x(us[0]).Cols())
+	var wsum float64
+	for _, u := range us {
+		w := float64(u.count) * eng.discount(round-u.dispatch)
+		acc.AXPY(w, x(u))
+		wsum += w
+	}
+	acc.ScaleInPlace(1 / wsum)
+	return acc
 }
 
 // foldAux merges the kept updates' aux uploads (unit weights discounted by
@@ -636,293 +529,107 @@ func (eng *asyncEngine) foldAux(kept []*asyncUpdate, round int) error {
 	return nil
 }
 
-// runAsync is the buffered no-barrier round loop. Run has already validated
-// the config, built the shared run state, and published the run span; this
-// loop replaces only the barriered phase sequence.
-func runAsync(cfg *Config, st *runState, cs *codecState, rec telemetry.Recorder, tr *obs.Tracer, runSpan *obs.Span, global *nn.Params, res *Result, sampler *rand.Rand, evalEvery int, allMoment bool) (*Result, error) {
-	clients := st.clients
-	eng := newAsyncEngine(cfg, st, cs, rec, tr, allMoment)
-	runSpan.SetAttr(obs.AttrAggregation, AggAsync.String())
+// round is the buffered round body: it dispatches to every idle sampled
+// party, collects arrivals until the buffer holds BufferK updates, and folds
+// them into a new global. Run's round loop does the rest.
+func (eng *asyncEngine) round(r *roundState) error {
+	st := eng.st
+	reach := st.reachable(r.n)
+	if err := st.quorum(r.n, len(reach)); err != nil {
+		return err
+	}
 
-	badRounds := 0
-	startRound, samplerDraws := 0, 0
-	if cfg.Resume != nil {
-		g, err := st.restore(cfg.Resume, res, &badRounds, &startRound, &samplerDraws)
+	// Bootstrap the statistics state with one synchronous exchange
+	// (broadcast + Algorithm 1's two legs) the first time through:
+	// dispatches need global means to center moments on, and a resumed run
+	// restores them from the checkpoint instead.
+	if st.allMoment && eng.stats.means == nil {
+		if err := st.broadcast(r, reach); err != nil {
+			return err
+		}
+		gm, gc, err := st.momentExchange(r, st.aliveOf(reach))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		global = g
-		for i := 0; i < samplerDraws; i++ {
-			sampler.Perm(len(clients)) // replay the sampler to its saved state
+		eng.stats.means, eng.stats.central = gm, gc
+	}
+
+	// Evaluate the global entering the round on the idle parties (an
+	// in-flight party cannot be probed without violating the
+	// one-call-at-a-time contract). Installs are not byte-charged: this is
+	// scoring, not protocol traffic, and a failed one is skipped leniently,
+	// like st.evaluate.
+	if st.evalDue(r.n) {
+		evalIdx := make([]int, 0, len(reach))
+		for _, i := range reach {
+			if !eng.inflight[i] && !st.dropped[i] && st.setGlobal(i, st.global) == nil {
+				evalIdx = append(evalIdx, i)
+			}
 		}
-		if err := eng.restore(cfg.Resume); err != nil {
-			return nil, err
+		if len(evalIdx) > 0 {
+			st.evalRound(r, evalIdx)
 		}
 	}
 
-	for round := startRound; round < cfg.Rounds; round++ {
-		stats := RoundStats{Round: round, Start: time.Now()}
-		roundSpan := telemetry.StartSpan(rec, MetricRoundSeconds)
-		rsp := tr.Start(runSpan.Context(), obs.SpanRound)
-		rsp.SetAttr(obs.AttrRound, round)
-		tr.SetActive(rsp.Context())
-		resets0 := wireResets.Value()
-		evaluated := false
-		stalled := false
-		var fold *foldOutcome
-		st.beginRound()
-		if cs != nil {
-			cs.beginRound()
+	// Dispatch to every sampled party that is idle and holds no buffered
+	// update (so a fold-time Encoder.Reset can never race the party's own
+	// uplink encoder).
+	active := st.cohort(r.n, reach)
+	buffered := make([]bool, len(st.clients))
+	for _, u := range eng.buffer {
+		buffered[u.party] = true
+	}
+	for _, i := range active {
+		if !eng.inflight[i] && !buffered[i] && !st.dropped[i] {
+			eng.dispatch(r.ctx, i, r.n, st.global)
 		}
+	}
+	if err := eng.collect(r); err != nil {
+		return err
+	}
 
-		roundErr := func() error {
-			reach := st.reachable(round)
-			if err := st.quorum(round, len(reach)); err != nil {
+	// Fold the buffer into a new global.
+	sp := telemetry.StartSpan(st.rec, MetricAggregateSeconds)
+	osp := st.tr.Start(r.ctx, obs.SpanFold)
+	out, err := eng.fold(r.n, st.global, &r.stats)
+	if out != nil {
+		osp.SetAttr(obs.AttrBufferFill, out.folded)
+		osp.SetAttr(obs.AttrBufferTarget, eng.k)
+		osp.SetAttr(obs.AttrStalenessP99, out.staleP99)
+	}
+	sp.End()
+	osp.End()
+	if err != nil {
+		return err
+	}
+	r.stats.TrainLoss = out.trainLoss
+	r.folded, r.staleP99, r.parties = out.folded, out.staleP99, out.parties
+	st.global = out.global
+	return nil
+}
+
+// collect absorbs arrivals until the buffer holds K updates, nothing more
+// can arrive, or the round deadline expires (a stall).
+func (eng *asyncEngine) collect(r *roundState) error {
+	waitSpan := telemetry.StartSpan(eng.st.rec, MetricAsyncBufferWait)
+	defer waitSpan.End()
+	var deadline <-chan time.Time
+	if d := eng.st.cfg.BufferTimeout; d > 0 {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		deadline = timer.C
+	}
+	for len(eng.buffer) < eng.k && eng.nFlight > 0 {
+		select {
+		case u := <-eng.arrivals:
+			if err := eng.absorb(u, &r.stats); err != nil {
 				return err
 			}
-
-			// Bootstrap the statistics state with one synchronous exchange
-			// (broadcast + Algorithm 1's two legs) the first time through:
-			// dispatches need global means to center moments on, and a
-			// resumed run restores them from the checkpoint instead.
-			if allMoment && eng.stats.means == nil {
-				sp := telemetry.StartSpan(rec, MetricBroadcastSeconds)
-				osp := tr.Start(rsp.Context(), obs.SpanBroadcast)
-				for _, i := range reach {
-					c := clients[i]
-					st.touched[i] = true
-					if err := st.call(i, func() error { return c.SetParams(global) }); err != nil {
-						if ferr := st.fail(i, fmt.Errorf("fed: broadcast to %s: %w", c.Name(), err)); ferr != nil {
-							sp.End()
-							osp.End()
-							return ferr
-						}
-						continue
-					}
-					if cs != nil && !transportCoded(c) {
-						n, err := cs.broadcast(i, global)
-						if err != nil {
-							sp.End()
-							osp.End()
-							return err
-						}
-						stats.BytesDown += n
-					} else {
-						stats.BytesDown += int64(global.Bytes())
-					}
-				}
-				sp.End()
-				osp.End()
-				sp = telemetry.StartSpan(rec, MetricMomentsSeconds)
-				osp = tr.Start(rsp.Context(), obs.SpanMoments)
-				up, down, gm, gc, err := st.momentExchange(round, st.aliveOf(reach))
-				sp.End()
-				osp.End()
-				if err != nil {
-					return err
-				}
-				stats.BytesUp += up
-				stats.BytesDown += down
-				eng.stats.means = gm
-				eng.stats.central = gc
-			}
-
-			// Evaluate the global entering the round on the idle parties
-			// (an in-flight party cannot be probed without violating the
-			// one-call-at-a-time contract). Installs are not byte-charged:
-			// this is scoring, not protocol traffic.
-			if round%evalEvery == 0 || round == cfg.Rounds-1 {
-				evalIdx := make([]int, 0, len(reach))
-				for _, i := range reach {
-					if eng.inflight[i] || st.dropped[i] {
-						continue
-					}
-					c := clients[i]
-					if err := st.call(i, func() error { return c.SetParams(global) }); err != nil {
-						continue // lenient, like st.evaluate
-					}
-					evalIdx = append(evalIdx, i)
-				}
-				if len(evalIdx) > 0 {
-					sp := telemetry.StartSpan(rec, MetricEvalSeconds)
-					osp := tr.Start(rsp.Context(), obs.SpanEval)
-					stats.ValAcc, stats.TestAcc = st.evaluate(evalIdx, cfg.Sequential)
-					sp.End()
-					osp.End()
-					evaluated = true
-					rec.Gauge(MetricValAcc, stats.ValAcc)
-					rec.Gauge(MetricTestAcc, stats.TestAcc)
-					if stats.ValAcc > res.BestValAcc || res.BestRound < 0 {
-						res.BestValAcc = stats.ValAcc
-						res.TestAtBestVal = stats.TestAcc
-						res.BestRound = round
-						badRounds = 0
-					} else {
-						badRounds++
-					}
-				}
-			}
-
-			// Dispatch to every sampled party that is idle and holds no
-			// buffered update (so a fold-time Encoder.Reset can never race
-			// the party's own uplink encoder).
-			activeIdx := reach
-			if cfg.ClientFraction > 0 && cfg.ClientFraction < 1 {
-				k := ceilFraction(cfg.ClientFraction, len(clients))
-				perm := sampler.Perm(len(clients))
-				samplerDraws++
-				sel := make([]int, 0, k)
-				for _, idx := range perm {
-					if st.benched(idx, round) {
-						continue
-					}
-					sel = append(sel, idx)
-					if len(sel) == k {
-						break
-					}
-				}
-				sort.Ints(sel)
-				activeIdx = sel
-			}
-			buffered := make([]bool, len(clients))
-			for _, u := range eng.buffer {
-				buffered[u.party] = true
-			}
-			for _, i := range activeIdx {
-				if eng.inflight[i] || buffered[i] || st.dropped[i] {
-					continue
-				}
-				eng.dispatch(rsp.Context(), i, round, global)
-			}
-
-			// Collect until the buffer holds K updates, nothing more can
-			// arrive, or the round deadline expires.
-			waitSpan := telemetry.StartSpan(rec, MetricAsyncBufferWait)
-			var deadline <-chan time.Time
-			var timer *time.Timer
-			if cfg.BufferTimeout > 0 {
-				timer = time.NewTimer(cfg.BufferTimeout)
-				deadline = timer.C
-			}
-		collect:
-			for len(eng.buffer) < eng.k && eng.nFlight > 0 {
-				select {
-				case u := <-eng.arrivals:
-					if err := eng.absorb(u, &stats); err != nil {
-						if timer != nil {
-							timer.Stop()
-						}
-						waitSpan.End()
-						return err
-					}
-				case <-deadline:
-					stalled = true
-					rec.Count(MetricAsyncStalls, 1)
-					break collect
-				}
-			}
-			if timer != nil {
-				timer.Stop()
-			}
-			waitSpan.End()
-
-			// Fold the buffer into a new global.
-			sp := telemetry.StartSpan(rec, MetricAggregateSeconds)
-			osp := tr.Start(rsp.Context(), obs.SpanFold)
-			out, err := eng.fold(round, global, &stats)
-			if out != nil {
-				osp.SetAttr(obs.AttrBufferFill, out.folded)
-				osp.SetAttr(obs.AttrBufferTarget, eng.k)
-				osp.SetAttr(obs.AttrStalenessP99, out.staleP99)
-			}
-			sp.End()
-			osp.End()
-			if err != nil {
-				return err
-			}
-			fold = out
-			stats.TrainLoss = out.trainLoss
-			global = out.global
+		case <-deadline:
+			r.stalled = true
+			eng.st.rec.Count(MetricAsyncStalls, 1)
 			return nil
-		}()
-		if roundErr != nil {
-			if !errors.Is(roundErr, ErrQuorumLost) || cfg.QuorumPolicy != QuorumSkip {
-				// Aborting mid-round: emit the trace record, drop the
-				// latency sample, and reap the in-flight workers.
-				roundSpan.Cancel()
-				rsp.End()
-				eng.shutdown()
-				return nil, roundErr
-			}
-			stats.Degraded = true
-		}
-
-		st.endRound(round, &stats)
-		stats.End = time.Now()
-		roundSpan.End()
-		rec.Count(MetricRounds, 1)
-		rec.Count(MetricActiveClients, int64(eng.nFlight+len(eng.buffer)))
-		rec.Count(MetricBytesUp, stats.BytesUp)
-		rec.Count(MetricBytesDown, stats.BytesDown)
-
-		res.History = append(res.History, stats)
-		res.TotalBytesUp += stats.BytesUp
-		res.TotalBytesDown += stats.BytesDown
-
-		if cfg.Observer != nil {
-			benchedNow := 0
-			for i := range clients {
-				if st.benched(i, round+1) {
-					benchedNow++
-				}
-			}
-			o := obs.RoundObservation{
-				Round:          round,
-				TrainLoss:      stats.TrainLoss,
-				ValAcc:         stats.ValAcc,
-				TestAcc:        stats.TestAcc,
-				BestValAcc:     res.BestValAcc,
-				Evaluated:      evaluated,
-				Degraded:       stats.Degraded,
-				Dropped:        stats.Dropped,
-				Quarantined:    benchedNow,
-				NonFinite:      st.nonFinite,
-				CodecResets:    int(wireResets.Value() - resets0),
-				BytesUp:        stats.BytesUp,
-				BytesDown:      stats.BytesDown,
-				Async:          true,
-				BufferTarget:   eng.k,
-				BufferStalled:  stalled,
-				StalenessLimit: float64(eng.maxStale),
-			}
-			if fold != nil {
-				o.BufferFill = fold.folded
-				o.StalenessP99 = fold.staleP99
-				o.Parties = fold.parties
-			}
-			cfg.Observer.ObserveRound(rsp.Context(), o)
-		}
-		rsp.End()
-
-		if cfg.CheckpointEvery > 0 && cfg.CheckpointWriter != nil && (round+1)%cfg.CheckpointEvery == 0 {
-			ck := st.snapshot(round+1, samplerDraws, global, res, badRounds)
-			eng.snapshotInto(ck)
-			if err := cfg.CheckpointWriter(ck); err != nil {
-				eng.shutdown()
-				return nil, fmt.Errorf("fed: checkpoint after round %d: %w", round, err)
-			}
-		}
-		if cfg.Patience > 0 && badRounds >= cfg.Patience {
-			break
 		}
 	}
-	eng.shutdown()
-	res.FinalParams = global
-	res.ClientFailures = st.failures
-
-	if err := finalScore(cfg, st, rec, res, global); err != nil {
-		return nil, err
-	}
-	res.End = time.Now()
-	return res, nil
+	return nil
 }

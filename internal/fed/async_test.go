@@ -109,34 +109,46 @@ func (l *learnFake) TrainLocal(int) (float64, error) {
 // TestAsyncFullBufferMatchesSync drains the whole fleet every round
 // (BufferK = M, instant clients): every fold happens at staleness 0, so the
 // async trajectory must reproduce the synchronous FedAvg recursion exactly.
+// The codec cases pin the broadcast/upload codec seam in both modes: a lossy
+// tier shapes both trajectories, and both charge the same encoded bytes.
 func TestAsyncFullBufferMatchesSync(t *testing.T) {
-	mk := func() []Client {
-		a := &learnFake{fakeClient: newFakeClient("a", 3, 0), bias: 1}
-		b := &learnFake{fakeClient: newFakeClient("b", 1, 0), bias: 5}
-		return []Client{a, b}
-	}
-	sync, err := Run(Config{Rounds: 4}, mk())
+	q8, err := codec.Parse("q8", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	async, err := Run(Config{Rounds: 4, Aggregation: AggAsync, BufferK: 2}, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, a := sync.FinalParams.Get("w").At(0, 0), async.FinalParams.Get("w").At(0, 0)
-	if s != a {
-		t.Fatalf("async K=M final = %v, sync = %v", a, s)
-	}
-	if a == 0 {
-		t.Fatal("trajectory degenerate: final model never moved")
-	}
-	// Same schedule again: the async loop must be run-to-run deterministic.
-	again, err := Run(Config{Rounds: 4, Aggregation: AggAsync, BufferK: 2}, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := again.FinalParams.Get("w").At(0, 0); g != a {
-		t.Fatalf("async rerun final = %v, first run = %v", g, a)
+	for _, cc := range []codec.Options{{}, {Kind: codec.Delta}, q8} {
+		mk := func() []Client {
+			a := &learnFake{fakeClient: newFakeClient("a", 3, 0), bias: 1}
+			b := &learnFake{fakeClient: newFakeClient("b", 1, 0), bias: 5}
+			return []Client{a, b}
+		}
+		sync, err := Run(Config{Rounds: 4, Codec: cc}, mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		async, err := Run(Config{Rounds: 4, Aggregation: AggAsync, BufferK: 2, Codec: cc}, mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, a := sync.FinalParams.Get("w").At(0, 0), async.FinalParams.Get("w").At(0, 0)
+		if s != a {
+			t.Fatalf("codec %s: async K=M final = %v, sync = %v", cc.Name(), a, s)
+		}
+		if a == 0 {
+			t.Fatalf("codec %s: trajectory degenerate: final model never moved", cc.Name())
+		}
+		if cc.Enabled() && (sync.TotalBytesUp != async.TotalBytesUp || sync.TotalBytesDown != async.TotalBytesDown) {
+			t.Fatalf("codec %s: async bytes %d/%d, sync %d/%d", cc.Name(),
+				async.TotalBytesUp, async.TotalBytesDown, sync.TotalBytesUp, sync.TotalBytesDown)
+		}
+		// Same schedule again: the async loop must be run-to-run deterministic.
+		again, err := Run(Config{Rounds: 4, Aggregation: AggAsync, BufferK: 2, Codec: cc}, mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := again.FinalParams.Get("w").At(0, 0); g != a {
+			t.Fatalf("codec %s: async rerun final = %v, first run = %v", cc.Name(), g, a)
+		}
 	}
 }
 
@@ -148,13 +160,8 @@ func asyncHarness(t *testing.T, cfg *Config, clients []Client, rec telemetry.Rec
 	for i, c := range clients {
 		weights[i] = float64(c.NumSamples())
 	}
-	rec = telemetry.Or(rec)
-	st := newRunState(cfg, clients, weights, rec)
-	var cs *codecState
-	if cfg.Codec.Enabled() {
-		cs = newCodecState(cfg.Codec, len(clients), rec)
-	}
-	return st, newAsyncEngine(cfg, st, cs, rec, nil, false)
+	st := newRunState(cfg, clients, weights, telemetry.Or(rec))
+	return st, newAsyncEngine(st)
 }
 
 func paramsAt(v float64) *nn.Params {
@@ -244,7 +251,7 @@ func TestAsyncFoldEvictsStaleAndResetsEncoder(t *testing.T) {
 		m.Set(0, j, 0.1*float64(j)+0.037)
 	}
 	p.Add("w", m)
-	if _, err := eng.cs.up[0].EncodeParams(nil, p, nil); err != nil {
+	if _, err := st.cs.up[0].EncodeParams(nil, p, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -266,7 +273,7 @@ func TestAsyncFoldEvictsStaleAndResetsEncoder(t *testing.T) {
 		t.Fatalf("eviction must register a policy failure, got %v", st.failures)
 	}
 	// Residuals dropped: the post-eviction frame matches a fresh encoder's.
-	after, err := eng.cs.up[0].EncodeParams(nil, p, nil)
+	after, err := st.cs.up[0].EncodeParams(nil, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,18 +114,20 @@ type AsyncBufferedUpdate struct {
 	TrainSecs     float64
 }
 
-// snapshot captures the coordinator state entering round nextRound.
-func (st *runState) snapshot(nextRound, samplerDraws int, global *nn.Params, res *Result, badRounds int) *Checkpoint {
+// snapshot captures the coordinator state entering round nextRound, with
+// the async engine's state when eng is non-nil.
+func (st *runState) snapshot(nextRound int, eng *asyncEngine) *Checkpoint {
+	res := st.res
 	ck := &Checkpoint{
 		Round:          nextRound,
-		SamplerDraws:   samplerDraws,
-		Global:         paramsToWire(global),
+		SamplerDraws:   st.samplerDraws,
+		Global:         paramsToWire(st.global),
 		Spec:           st.spec,
 		History:        append([]RoundStats(nil), res.History...),
 		BestValAcc:     res.BestValAcc,
 		TestAtBestVal:  res.TestAtBestVal,
 		BestRound:      res.BestRound,
-		BadRounds:      badRounds,
+		BadRounds:      st.badRounds,
 		TotalBytesUp:   res.TotalBytesUp,
 		TotalBytesDown: res.TotalBytesDown,
 	}
@@ -136,52 +138,52 @@ func (st *runState) snapshot(nextRound, samplerDraws int, global *nn.Params, res
 		}
 	}
 	if st.policy == Quarantine {
-		ck.Strikes = make(map[string]int)
-		ck.BenchedUntil = make(map[string]int)
-		ck.BenchCount = make(map[string]int)
-		for i, c := range st.clients {
-			if st.strikes[i] != 0 {
-				ck.Strikes[c.Name()] = st.strikes[i]
+		byName := func(src []int) map[string]int {
+			dst := make(map[string]int)
+			for i, c := range st.clients {
+				if src[i] != 0 {
+					dst[c.Name()] = src[i]
+				}
 			}
-			if st.benchedUntil[i] != 0 {
-				ck.BenchedUntil[c.Name()] = st.benchedUntil[i]
-			}
-			if st.benchCount[i] != 0 {
-				ck.BenchCount[c.Name()] = st.benchCount[i]
-			}
+			return dst
 		}
+		ck.Strikes, ck.BenchedUntil, ck.BenchCount = byName(st.strikes), byName(st.benchedUntil), byName(st.benchCount)
+	}
+	if eng != nil {
+		eng.snapshotInto(ck)
 	}
 	return ck
 }
 
-// restore rebuilds the coordinator state from a checkpoint, returning the
-// global model to enter ck.Round with. The caller replays the sampler.
-func (st *runState) restore(ck *Checkpoint, res *Result, badRounds, startRound, samplerDraws *int) (*nn.Params, error) {
+// restore rebuilds the coordinator state from a checkpoint — the global
+// model, the replayed sampler, and the async engine's state when eng is
+// non-nil — and returns the round to resume at.
+func (st *runState) restore(ck *Checkpoint, eng *asyncEngine) (int, error) {
 	if ck.Global == nil {
-		return nil, errors.New("fed: resume checkpoint has no global model")
+		return 0, errors.New("fed: resume checkpoint has no global model")
 	}
 	if ck.Round < 0 {
-		return nil, fmt.Errorf("fed: resume checkpoint has negative round %d", ck.Round)
+		return 0, fmt.Errorf("fed: resume checkpoint has negative round %d", ck.Round)
 	}
 	global := paramsFromWire(ck.Global)
 	if err := st.clients[0].Params().Compatible(global); err != nil {
-		return nil, fmt.Errorf("fed: resume: checkpointed model incompatible with fleet: %w", err)
+		return 0, fmt.Errorf("fed: resume: checkpointed model incompatible with fleet: %w", err)
 	}
-	*startRound = ck.Round
-	*samplerDraws = ck.SamplerDraws
-	*badRounds = ck.BadRounds
+	st.global = global
+	st.samplerDraws = ck.SamplerDraws
+	for i := 0; i < ck.SamplerDraws; i++ {
+		st.sampler.Perm(len(st.clients)) // replay the sampler to its saved state
+	}
+	st.badRounds = ck.BadRounds
+	res := st.res
 	res.History = append([]RoundStats(nil), ck.History...)
 	res.BestValAcc = ck.BestValAcc
 	res.TestAtBestVal = ck.TestAtBestVal
 	res.BestRound = ck.BestRound
 	res.TotalBytesUp = ck.TotalBytesUp
 	res.TotalBytesDown = ck.TotalBytesDown
-	byName := make(map[string]int, len(st.clients))
-	for i, c := range st.clients {
-		byName[c.Name()] = i
-	}
 	for name, n := range ck.Failures {
-		if _, known := byName[name]; known {
+		if _, known := st.byName[name]; known {
 			if st.failures == nil {
 				st.failures = make(map[string]int)
 			}
@@ -190,7 +192,7 @@ func (st *runState) restore(ck *Checkpoint, res *Result, badRounds, startRound, 
 	}
 	restoreInto := func(dst []int, src map[string]int) {
 		for name, v := range src {
-			if i, known := byName[name]; known {
+			if i, known := st.byName[name]; known {
 				dst[i] = v
 			}
 		}
@@ -198,7 +200,12 @@ func (st *runState) restore(ck *Checkpoint, res *Result, badRounds, startRound, 
 	restoreInto(st.strikes, ck.Strikes)
 	restoreInto(st.benchedUntil, ck.BenchedUntil)
 	restoreInto(st.benchCount, ck.BenchCount)
-	return global, nil
+	if eng != nil {
+		if err := eng.restore(ck); err != nil {
+			return 0, err
+		}
+	}
+	return ck.Round, nil
 }
 
 // snapshotInto adds the async engine's state to a base checkpoint: the
@@ -245,12 +252,8 @@ func (eng *asyncEngine) snapshotInto(ck *Checkpoint) {
 // updates from parties unknown to the resumed fleet are dropped; restored
 // parameter sets are fresh allocations, never pooled.
 func (eng *asyncEngine) restore(ck *Checkpoint) error {
-	byName := make(map[string]int, len(eng.st.clients))
-	for i, c := range eng.st.clients {
-		byName[c.Name()] = i
-	}
 	for _, w := range ck.AsyncBuffer {
-		i, known := byName[w.Party]
+		i, known := eng.st.byName[w.Party]
 		if !known {
 			continue
 		}
@@ -278,7 +281,7 @@ func (eng *asyncEngine) restore(ck *Checkpoint) error {
 		eng.buffer = append(eng.buffer, u)
 	}
 	for name, r := range ck.AsyncDispatch {
-		if i, known := byName[name]; known {
+		if i, known := eng.st.byName[name]; known {
 			eng.lastDispatch[i] = r
 		}
 	}

@@ -59,8 +59,8 @@ type codecState struct {
 	// parameter set (globals are immutable once aggregated, so pointer
 	// identity is a sound key).
 	memo map[*nn.Params]int64
-	// rawTotal and encTotal accumulate uplink traffic over the run for
-	// Ratio() and the per-tier gauge.
+	// rawTotal and encTotal accumulate uplink traffic over the run for the
+	// per-tier gauge.
 	rawTotal, encTotal int64
 }
 
@@ -91,6 +91,9 @@ func (cs *codecState) setTrace(tr *obs.Tracer) {
 }
 
 func (cs *codecState) beginRound() {
+	if cs == nil {
+		return
+	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	for k := range cs.memo {
@@ -114,20 +117,17 @@ func (cs *codecState) accountUp(raw, enc int64) {
 	}
 }
 
-// accountDown records one broadcast's raw and encoded sizes (always the
-// lossless Delta tier).
-func (cs *codecState) accountDown(raw, enc int64) {
-	if cs.rec.Enabled() {
-		cs.rec.Count(codec.MetricBytesRawDown, raw)
-		cs.rec.Count(codec.MetricBytesEncodedDown, enc)
+// broadcast is the downlink codec seam: it returns the bytes for delivering
+// global to client c (index i) and advances the client's reference. Call it
+// only after SetParams succeeded: a client that missed the broadcast keeps
+// its old reference, and its next exchange is encoded against that (or
+// absolutely, when it never had one). Without an in-process codec — none
+// configured, or a transport proxy that negotiated its own — the raw size
+// is charged.
+func (cs *codecState) broadcast(c Client, i int, global *nn.Params) (int64, error) {
+	if cs == nil || transportCoded(c) {
+		return int64(global.Bytes()), nil
 	}
-}
-
-// broadcast returns the downlink bytes for delivering global to client i and
-// advances the client's reference. Call it only after SetParams succeeded:
-// a client that missed the broadcast keeps its old reference, and its next
-// exchange is encoded against that (or absolutely, when it never had one).
-func (cs *codecState) broadcast(i int, global *nn.Params) (int64, error) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	ref := cs.downRef[i]
@@ -145,26 +145,34 @@ func (cs *codecState) broadcast(i int, global *nn.Params) (int64, error) {
 		}
 	}
 	cs.downRef[i] = global
-	cs.accountDown(int64(global.Bytes()), size)
+	if cs.rec.Enabled() { // raw and encoded sizes, always the lossless Delta tier
+		cs.rec.Count(codec.MetricBytesRawDown, int64(global.Bytes()))
+		cs.rec.Count(codec.MetricBytesEncodedDown, size)
+	}
 	return size, nil
 }
 
-// upload encodes client i's parameters against its downlink reference,
-// decodes them as the server would, and returns the decoded set (drawn from
-// the mat buffer pool — release with putUpload after aggregation) plus the
-// encoded byte count. Lossy tiers return values that differ from p exactly
-// as they would over a real wire.
-func (cs *codecState) upload(i int, p *nn.Params) (*nn.Params, int64, error) {
+// upload is the uplink codec seam: it encodes client c's (index i)
+// parameters against its downlink reference, decodes them as the server
+// would, and returns the decoded set (drawn from the mat buffer pool —
+// release with codec.PutParams after aggregation) plus the encoded byte
+// count. Lossy tiers return values that differ from p exactly as they would
+// over a real wire. Without an in-process codec p passes through with an
+// encoded size of -1.
+func (cs *codecState) upload(c Client, i int, p *nn.Params) (*nn.Params, int64, error) {
+	if cs == nil || transportCoded(c) {
+		return p, -1, nil
+	}
 	ref := cs.downRef[i]
 	t0 := time.Now()
 	blob, err := cs.up[i].EncodeParams(nil, p, ref)
 	if err != nil {
-		return nil, 0, err
+		return nil, -1, err
 	}
 	t1 := time.Now()
 	dec, err := codec.DecodeParams(blob, ref)
 	if err != nil {
-		return nil, 0, err
+		return nil, -1, err
 	}
 	if cs.rec.Enabled() {
 		cs.rec.Count(codec.MetricEncodeNs, t1.Sub(t0).Nanoseconds())
@@ -172,15 +180,4 @@ func (cs *codecState) upload(i int, p *nn.Params) (*nn.Params, int64, error) {
 	}
 	cs.accountUp(int64(p.Bytes()), int64(len(blob)))
 	return dec, int64(len(blob)), nil
-}
-
-// Ratio returns the run-wide upload compression ratio raw/encoded (0 before
-// any traffic).
-func (cs *codecState) Ratio() float64 {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.encTotal == 0 {
-		return 0
-	}
-	return float64(cs.rawTotal) / float64(cs.encTotal)
 }

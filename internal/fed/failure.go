@@ -12,12 +12,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"fedomd/internal/mat"
 	"fedomd/internal/nn"
+	"fedomd/internal/obs"
 	"fedomd/internal/telemetry"
 )
 
@@ -97,12 +99,19 @@ var (
 	ErrNonFinite = errors.New("non-finite values in upload")
 )
 
-// runState carries the per-run fault-tolerance bookkeeping Run threads
-// through its phases.
+// runState carries the per-run state Run's round loop threads through
+// both round bodies: the fault-tolerance bookkeeping, the codec seam, and
+// the coordinator's model, sampler and best-so-far tracking that a
+// checkpoint captures.
 type runState struct {
+	cfg        *Config
 	clients    []Client
 	weights    []float64
+	byName     map[string]int // client name → index, for checkpoints
+	allMoment  bool           // every client runs the statistics exchange
 	rec        telemetry.Recorder
+	tr         *obs.Tracer
+	cs         *codecState // nil without an in-process codec
 	spec       *ModelSpec
 	policy     FailurePolicy
 	timeout    time.Duration
@@ -122,6 +131,14 @@ type runState struct {
 
 	failures map[string]int // total failures per client name, lazily built
 
+	// Coordinator state.
+	res          *Result
+	global       *nn.Params
+	badRounds    int // evaluations since the best, for patience
+	sampler      *rand.Rand
+	samplerDraws int
+	evalEvery    int
+
 	// Per-round scratch, reset by beginRound.
 	dropped      []bool
 	touched      []bool
@@ -132,30 +149,40 @@ type runState struct {
 
 func newRunState(cfg *Config, clients []Client, weights []float64, rec telemetry.Recorder) *runState {
 	st := &runState{
+		cfg:          cfg,
 		clients:      clients,
 		weights:      weights,
+		byName:       make(map[string]int, len(clients)),
+		allMoment:    true,
 		rec:          rec,
+		tr:           cfg.Tracer,
 		spec:         cfg.Spec,
 		policy:       cfg.Policy,
 		timeout:      cfg.ClientTimeout,
-		minClients:   cfg.MinClients,
+		minClients:   max(cfg.MinClients, 1),
 		maxStrikes:   cfg.MaxStrikes,
-		cooldown:     cfg.CooldownRounds,
+		cooldown:     max(cfg.CooldownRounds, 1),
 		busy:         make([]atomic.Bool, len(clients)),
 		strikes:      make([]int, len(clients)),
 		benchedUntil: make([]int, len(clients)),
 		benchCount:   make([]int, len(clients)),
 		dropped:      make([]bool, len(clients)),
 		touched:      make([]bool, len(clients)),
+		sampler:      rand.New(rand.NewSource(cfg.SampleSeed)),
+		evalEvery:    max(cfg.EvalEvery, 1), // 1 (every round) when unset
 	}
-	if st.minClients < 1 {
-		st.minClients = 1
+	for i, c := range clients {
+		st.byName[c.Name()] = i
+		if _, ok := c.(MomentClient); !ok {
+			st.allMoment = false
+		}
+	}
+	if cfg.Codec.Enabled() {
+		st.cs = newCodecState(cfg.Codec, len(clients), rec)
+		st.cs.setTrace(cfg.Tracer)
 	}
 	if st.maxStrikes < 1 {
 		st.maxStrikes = 3
-	}
-	if st.cooldown < 1 {
-		st.cooldown = 1
 	}
 	return st
 }
@@ -195,14 +222,6 @@ func (st *runState) aliveOf(idx []int) []int {
 		if !st.dropped[i] {
 			out = append(out, i)
 		}
-	}
-	return out
-}
-
-func (st *runState) clientsAt(idx []int) []Client {
-	out := make([]Client, len(idx))
-	for s, i := range idx {
-		out[s] = st.clients[i]
 	}
 	return out
 }
@@ -318,8 +337,8 @@ func (st *runState) endRound(round int, stats *RoundStats) {
 func (st *runState) evaluate(idx []int, sequential bool) (valAcc, testAcc float64) {
 	type counts struct{ vc, vt, tc, tt int }
 	results := make([]counts, len(idx))
-	sub := st.clientsAt(idx)
-	forEachClient(sub, sequential, false, func(s int, c Client) error {
+	forEachClient(len(idx), sequential, false, func(s int) error {
+		c := st.clients[idx[s]]
 		var r counts
 		if err := st.call(idx[s], func() error {
 			r.vc, r.vt = c.EvalVal()

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -154,11 +153,11 @@ type Config struct {
 	// header-less snapshots, matching the pre-spec format.
 	Spec *ModelSpec
 
-	// Aggregation selects the round topology. The zero value, AggSync, is
-	// the barriered loop above — bit-identical to the historical behavior.
-	// AggAsync is the buffered no-barrier mode of async.go: stragglers slow
-	// only themselves, and their late updates fold into later rounds with a
-	// staleness-discounted weight.
+	// Aggregation selects the round body Run's loop runs. The zero value,
+	// AggSync, is the barriered round — bit-identical to the historical
+	// behavior. AggAsync is the buffered no-barrier mode of async.go:
+	// stragglers slow only themselves, and their late updates fold into
+	// later rounds with a staleness-discounted weight.
 	Aggregation AggregationMode
 	// BufferK is the number of arrivals folded per logical round in async
 	// mode; 0 defaults to ⌈M/2⌉ over the fleet size M.
@@ -265,19 +264,17 @@ type Result struct {
 	ClientFailures map[string]int
 }
 
-// Run executes synchronous federated training over the clients. All clients
-// must be non-nil; if every client implements MomentClient the FedOMD
-// statistics exchange runs each round before local training.
+// Run executes federated training over the clients. All clients must be
+// non-nil; if every client implements MomentClient the FedOMD statistics
+// exchange runs each round. Config.Aggregation picks the round body — the
+// barriered phases of syncRound or the buffered engine of async.go —
+// and everything around it is one loop shared by both modes.
 func Run(cfg Config, clients []Client) (*Result, error) {
 	if len(clients) == 0 {
 		return nil, errors.New("fed: no clients")
 	}
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("fed: Rounds must be positive, got %d", cfg.Rounds)
-	}
-	evalEvery := cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 1
 	}
 	if cfg.ClientFraction < 0 || cfg.ClientFraction > 1 {
 		return nil, fmt.Errorf("fed: ClientFraction must be 0 (full participation) or in (0, 1], got %v", cfg.ClientFraction)
@@ -300,34 +297,21 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 	if cfg.StalenessAlpha < 0 {
 		return nil, fmt.Errorf("fed: StalenessAlpha must be non-negative, got %v", cfg.StalenessAlpha)
 	}
-	rec := telemetry.Or(cfg.Recorder)
-	tr := cfg.Tracer
-	runID := cfg.RunID
-	if runID == "" {
-		runID = obs.NewRunID()
-	}
-	var cs *codecState
-	if cfg.Codec.Enabled() {
-		cs = newCodecState(cfg.Codec, len(clients), rec)
-		cs.setTrace(tr)
-	}
-	allMoment := true
-	for _, c := range clients {
+	weights := make([]float64, len(clients))
+	for i, c := range clients {
 		if c == nil {
 			return nil, errors.New("fed: nil client")
 		}
-		if _, ok := c.(MomentClient); !ok {
-			allMoment = false
-		}
-	}
-
-	weights := make([]float64, len(clients))
-	for i, c := range clients {
 		w := c.NumSamples()
 		if w <= 0 {
 			w = 1 // parties with no training nodes still average in weakly
 		}
 		weights[i] = float64(w)
+	}
+	tr := cfg.Tracer
+	runID := cfg.RunID
+	if runID == "" {
+		runID = obs.NewRunID()
 	}
 
 	runSpan := tr.Root(obs.SpanRun)
@@ -336,384 +320,379 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 	runSpan.SetAttr(obs.AttrParties, len(clients))
 	runSpan.SetAttr(obs.AttrPolicy, cfg.Policy.String())
 	runSpan.SetAttr(obs.AttrCodec, cfg.Codec.Name())
+	runSpan.SetAttr(obs.AttrAggregation, cfg.Aggregation.String())
 	// Publish the run span before the bootstrap parameter fetch so
 	// pre-round work (the initial get_params, codec encodes outside any
 	// round) anchors under fed/run rather than starting orphan traces.
 	tr.SetActive(runSpan.Context())
-
-	global := clients[0].Params().Clone()
-	res := &Result{BestRound: -1, RunID: runID, Start: time.Now()}
-	badRounds := 0
-	sampler := rand.New(rand.NewSource(cfg.SampleSeed))
-	st := newRunState(&cfg, clients, weights, rec)
-
 	defer func() {
 		tr.SetActive(obs.SpanContext{})
 		runSpan.End()
 	}()
 
+	st := newRunState(&cfg, clients, weights, telemetry.Or(cfg.Recorder))
+	st.global = clients[0].Params().Clone()
+	st.res = &Result{BestRound: -1, RunID: runID, Start: time.Now()}
+	var eng *asyncEngine
 	if cfg.Aggregation == AggAsync {
-		// The buffered no-barrier engine owns its own round loop (async.go);
-		// everything above — validation, weights, codec state, run span — is
-		// shared, and the sync loop below is untouched by the mode.
-		return runAsync(&cfg, st, cs, rec, tr, runSpan, global, res, sampler, evalEvery, allMoment)
+		eng = newAsyncEngine(st)
 	}
-
-	startRound, samplerDraws := 0, 0
+	start := 0
 	if cfg.Resume != nil {
-		g, err := st.restore(cfg.Resume, res, &badRounds, &startRound, &samplerDraws)
-		if err != nil {
+		var err error
+		if start, err = st.restore(cfg.Resume, eng); err != nil {
 			return nil, err
 		}
-		global = g
-		for i := 0; i < samplerDraws; i++ {
-			sampler.Perm(len(clients)) // replay the sampler to its saved state
-		}
 	}
-
-	needObs := cfg.Observer != nil || tr != nil
-	for round := startRound; round < cfg.Rounds; round++ {
-		stats := RoundStats{Round: round, Start: time.Now()}
-		roundSpan := telemetry.StartSpan(rec, MetricRoundSeconds)
-		rsp := tr.Start(runSpan.Context(), obs.SpanRound)
-		rsp.SetAttr(obs.AttrRound, round)
-		tr.SetActive(rsp.Context())
-		resets0 := wireResets.Value()
-		evaluated := false
-		var trainIdx []int
-		var trainSecs []float64
-		st.beginRound()
-		if cs != nil {
-			cs.beginRound()
-		}
-
-		reach := st.reachable(round)
-
-		// Partial participation: the round's active cohort, the first
-		// ⌈fraction·M⌉ reachable clients in permutation order (identical to
-		// the historical perm[:k] when nothing is benched).
-		activeIdx := reach
-		if cfg.ClientFraction > 0 && cfg.ClientFraction < 1 {
-			k := ceilFraction(cfg.ClientFraction, len(clients))
-			perm := sampler.Perm(len(clients))
-			samplerDraws++
-			sel := make([]int, 0, k)
-			for _, idx := range perm {
-				if st.benched(idx, round) {
-					continue
-				}
-				sel = append(sel, idx)
-				if len(sel) == k {
-					break
-				}
-			}
-			sort.Ints(sel)
-			activeIdx = sel
-		}
-
-		roundErr := func() error {
-			if err := st.quorum(round, len(reach)); err != nil {
-				return err
-			}
-
-			// Broadcast global weights (Phase 1/3 of §3) to every
-			// reachable client.
-			sp := telemetry.StartSpan(rec, MetricBroadcastSeconds)
-			osp := tr.Start(rsp.Context(), obs.SpanBroadcast)
-			for _, i := range reach {
-				c := clients[i]
-				st.touched[i] = true
-				if err := st.call(i, func() error { return c.SetParams(global) }); err != nil {
-					if ferr := st.fail(i, fmt.Errorf("fed: broadcast to %s: %w", c.Name(), err)); ferr != nil {
-						sp.End()
-						osp.End()
-						return ferr
-					}
-					continue
-				}
-				if cs != nil && !transportCoded(c) {
-					n, err := cs.broadcast(i, global)
-					if err != nil {
-						sp.End()
-						osp.End()
-						return err
-					}
-					stats.BytesDown += n
-				} else {
-					stats.BytesDown += int64(global.Bytes())
-				}
-			}
-			sp.End()
-			osp.End()
-			if err := st.quorum(round, len(st.aliveOf(activeIdx))); err != nil {
-				return err
-			}
-
-			// Evaluate the freshly broadcast global model.
-			if round%evalEvery == 0 || round == cfg.Rounds-1 {
-				sp = telemetry.StartSpan(rec, MetricEvalSeconds)
-				osp = tr.Start(rsp.Context(), obs.SpanEval)
-				stats.ValAcc, stats.TestAcc = st.evaluate(st.aliveOf(reach), cfg.Sequential)
-				sp.End()
-				osp.End()
-				evaluated = true
-				rec.Gauge(MetricValAcc, stats.ValAcc)
-				rec.Gauge(MetricTestAcc, stats.TestAcc)
-				if stats.ValAcc > res.BestValAcc || res.BestRound < 0 {
-					res.BestValAcc = stats.ValAcc
-					res.TestAtBestVal = stats.TestAcc
-					res.BestRound = round
-					badRounds = 0
-				} else {
-					badRounds++
-				}
-			}
-
-			// FedOMD statistics exchange (Algorithm 1 lines 3-18), over the
-			// round's active cohort.
-			if allMoment {
-				sp = telemetry.StartSpan(rec, MetricMomentsSeconds)
-				osp = tr.Start(rsp.Context(), obs.SpanMoments)
-				up, down, _, _, err := st.momentExchange(round, st.aliveOf(activeIdx))
-				sp.End()
-				osp.End()
-				if err != nil {
-					return err
-				}
-				stats.BytesUp += up
-				stats.BytesDown += down
-			}
-
-			// Local training, concurrently across surviving active parties.
-			sp = telemetry.StartSpan(rec, MetricTrainSeconds)
-			osp = tr.Start(rsp.Context(), obs.SpanTrain)
-			trainIdx = st.aliveOf(activeIdx)
-			losses := make([]float64, len(trainIdx))
-			if needObs {
-				trainSecs = make([]float64, len(trainIdx))
-			}
-			sub := st.clientsAt(trainIdx)
-			errs := forEachClient(sub, cfg.Sequential, st.policy == FailFast, func(s int, c Client) error {
-				clientSpan := telemetry.StartSpan(rec, MetricClientTrainSecs)
-				tsp := tr.Start(rsp.Context(), obs.SpanClientTrain)
-				tsp.SetAttr(obs.AttrParty, c.Name())
-				var t0 time.Time
-				if needObs {
-					t0 = time.Now()
-				}
-				var loss float64
-				err := st.call(trainIdx[s], func() error {
-					l, e := c.TrainLocal(round)
-					loss = l
-					return e
-				})
-				if needObs {
-					trainSecs[s] = time.Since(t0).Seconds()
-				}
-				clientSpan.End()
-				tsp.End()
-				if err != nil {
-					return fmt.Errorf("fed: client %s round %d: %w", c.Name(), round, err)
-				}
-				losses[s] = loss
-				return nil
-			})
-			sp.End()
-			osp.End()
-			if st.policy == FailFast {
-				if err := collapseErrs(errs, cfg.Sequential || len(sub) == 1); err != nil {
-					return err
-				}
-			} else {
-				for s, e := range errs {
-					if e != nil {
-						_ = st.fail(trainIdx[s], e)
-					}
-				}
-			}
-			var lossSum, wSum float64
-			for s, i := range trainIdx {
-				if st.dropped[i] {
-					continue
-				}
-				lossSum += weights[i] * losses[s]
-				wSum += weights[i]
-			}
-			if wSum > 0 {
-				stats.TrainLoss = lossSum / wSum
-			}
-
-			// Auxiliary state aggregation (e.g. SCAFFOLD control variates).
-			sp = telemetry.StartSpan(rec, MetricAuxSeconds)
-			err := st.auxExchange(st.aliveOf(activeIdx), &stats)
-			sp.End()
-			if err != nil {
-				return err
-			}
-
-			// Upload and FedAvg (eq. 2 / Algorithm 1 lines 26-29) over the
-			// survivors; nn.Average renormalizes their weights.
-			sp = telemetry.StartSpan(rec, MetricAggregateSeconds)
-			defer sp.End()
-			osp = tr.Start(rsp.Context(), obs.SpanAggregate)
-			defer osp.End()
-			aggIdx := st.aliveOf(activeIdx)
-			sets := make([]*nn.Params, 0, len(aggIdx))
-			aggWeights := make([]float64, 0, len(aggIdx))
-			// Decoded uploads borrow pooled matrices; they are consumed by
-			// nn.Average (which writes a fresh aggregate), so release them
-			// when the phase ends, on success and error paths alike.
-			var pooled []*nn.Params
-			defer func() {
-				for _, p := range pooled {
-					codec.PutParams(p)
-				}
-			}()
-			for _, i := range aggIdx {
-				c := clients[i]
-				usp := tr.Start(rsp.Context(), obs.SpanClientUpload)
-				usp.SetAttr(obs.AttrParty, c.Name())
-				var p *nn.Params
-				err := st.call(i, func() error { p = c.Params(); return nil })
-				var encBytes int64 = -1
-				if err == nil && cs != nil && !transportCoded(c) {
-					// Round-trip the upload through the codec: the server
-					// aggregates what the wire delivers, so lossy tiers
-					// shape the aggregate here exactly as in deployment.
-					var dec *nn.Params
-					dec, encBytes, err = cs.upload(i, p)
-					if err == nil {
-						p = dec
-						pooled = append(pooled, dec)
-					}
-				}
-				if err == nil && !finiteParams(p) {
-					err = ErrNonFinite
-				}
-				if err == nil && st.policy != FailFast {
-					// Screen shape mismatches per client so one bad upload
-					// cannot abort the whole aggregation. FailFast keeps the
-					// historical aggregate-time error below.
-					err = global.Compatible(p)
-				}
-				if err != nil {
-					usp.SetAttr(obs.AttrErr, err.Error())
-					usp.End()
-					if ferr := st.fail(i, fmt.Errorf("fed: upload from %s: %w", c.Name(), err)); ferr != nil {
-						return ferr
-					}
-					continue
-				}
-				sets = append(sets, p)
-				aggWeights = append(aggWeights, weights[i])
-				if encBytes >= 0 {
-					stats.BytesUp += encBytes
-					usp.SetAttr(obs.AttrBytesEnc, encBytes)
-				} else {
-					stats.BytesUp += int64(p.Bytes())
-				}
-				usp.End()
-			}
-			if err := st.quorum(round, len(sets)); err != nil {
-				return err
-			}
-			agg, err := nn.Average(sets, aggWeights)
-			if err != nil {
-				return fmt.Errorf("fed: aggregation: %w", err)
-			}
-			global = agg
-			return nil
-		}()
-		if roundErr != nil {
-			if !errors.Is(roundErr, ErrQuorumLost) || cfg.QuorumPolicy != QuorumSkip {
-				// The run is aborting mid-round: emit the round's trace record
-				// (partial rounds still belong in the trace tree) but drop its
-				// latency sample — an aborted round is not a round-duration
-				// observation.
-				roundSpan.Cancel()
-				rsp.End()
-				return nil, roundErr
-			}
-			// QuorumSkip: abandon the round's aggregation, keep the
-			// previous global model, and carry on.
-			stats.Degraded = true
-		}
-
-		st.endRound(round, &stats)
-		stats.End = time.Now()
-		roundSpan.End()
-		rec.Count(MetricRounds, 1)
-		rec.Count(MetricActiveClients, int64(len(activeIdx)))
-		rec.Count(MetricBytesUp, stats.BytesUp)
-		rec.Count(MetricBytesDown, stats.BytesDown)
-
-		res.History = append(res.History, stats)
-		res.TotalBytesUp += stats.BytesUp
-		res.TotalBytesDown += stats.BytesDown
-
-		if cfg.Observer != nil {
-			benchedNow := 0
-			for i := range clients {
-				if st.benched(i, round+1) {
-					benchedNow++
-				}
-			}
-			o := obs.RoundObservation{
-				Round:       round,
-				TrainLoss:   stats.TrainLoss,
-				ValAcc:      stats.ValAcc,
-				TestAcc:     stats.TestAcc,
-				BestValAcc:  res.BestValAcc,
-				Evaluated:   evaluated,
-				Degraded:    stats.Degraded,
-				Dropped:     stats.Dropped,
-				Quarantined: benchedNow,
-				NonFinite:   st.nonFinite,
-				CodecResets: int(wireResets.Value() - resets0),
-				BytesUp:     stats.BytesUp,
-				BytesDown:   stats.BytesDown,
-			}
-			for s, i := range trainIdx {
-				o.Parties = append(o.Parties, obs.PartyObservation{
-					Name:         clients[i].Name(),
-					TrainSeconds: trainSecs[s],
-					Dropped:      st.dropped[i],
-				})
-			}
-			cfg.Observer.ObserveRound(rsp.Context(), o)
-		}
-		rsp.End()
-
-		if cfg.CheckpointEvery > 0 && cfg.CheckpointWriter != nil && (round+1)%cfg.CheckpointEvery == 0 {
-			if err := cfg.CheckpointWriter(st.snapshot(round+1, samplerDraws, global, res, badRounds)); err != nil {
-				return nil, fmt.Errorf("fed: checkpoint after round %d: %w", round, err)
-			}
-		}
-		if cfg.Patience > 0 && badRounds >= cfg.Patience {
-			break
-		}
+	err := st.rounds(runSpan.Context(), start, eng)
+	if eng != nil {
+		eng.shutdown()
 	}
-	res.FinalParams = global
+	if err != nil {
+		return nil, err
+	}
+	res := st.res
+	res.FinalParams = st.global
 	res.ClientFailures = st.failures
-
-	if err := finalScore(&cfg, st, rec, res, global); err != nil {
+	if err := st.finalScore(); err != nil {
 		return nil, err
 	}
 	res.End = time.Now()
 	return res, nil
 }
 
+// roundState is one round's record: the round body fills it and the
+// round loop's epilogue books it.
+type roundState struct {
+	n         int
+	ctx       obs.SpanContext // the fed/round span's
+	stats     RoundStats
+	evaluated bool
+	active    int // booked to fed/active_clients: cohort, or async in flight+buffered
+	parties   []obs.PartyObservation
+	// The async fold's outcome, for the observer.
+	folded   int
+	staleP99 float64
+	stalled  bool
+}
+
+// rounds drives rounds [start, Rounds) until patience runs out. Only the
+// round body depends on the mode: with eng nil the barriered phases run,
+// otherwise the buffered engine dispatches, collects and folds. Round spans,
+// quorum-skip handling, history, observer, checkpoint and patience are the
+// same for both.
+func (st *runState) rounds(parent obs.SpanContext, start int, eng *asyncEngine) error {
+	cfg, rec, tr, res := st.cfg, st.rec, st.tr, st.res
+	body := st.syncRound
+	if eng != nil {
+		body = eng.round
+	}
+	for n := start; n < cfg.Rounds; n++ {
+		r := &roundState{n: n, stats: RoundStats{Round: n, Start: time.Now()}}
+		roundSpan := telemetry.StartSpan(rec, MetricRoundSeconds)
+		rsp := tr.Start(parent, obs.SpanRound)
+		rsp.SetAttr(obs.AttrRound, n)
+		r.ctx = rsp.Context()
+		tr.SetActive(r.ctx)
+		resets0 := wireResets.Value()
+		st.beginRound()
+		st.cs.beginRound()
+
+		if err := body(r); err != nil {
+			if !errors.Is(err, ErrQuorumLost) || cfg.QuorumPolicy != QuorumSkip {
+				// The run is aborting mid-round: emit the round's trace record
+				// (partial rounds still belong in the trace tree) but drop its
+				// latency sample — an aborted round is not a round-duration
+				// observation.
+				roundSpan.Cancel()
+				rsp.End()
+				return err
+			}
+			// QuorumSkip: abandon the round's aggregation, keep the
+			// previous global model, and carry on.
+			r.stats.Degraded = true
+		}
+
+		st.endRound(n, &r.stats)
+		r.stats.End = time.Now()
+		roundSpan.End()
+		if eng != nil {
+			r.active = eng.nFlight + len(eng.buffer)
+		}
+		rec.Count(MetricRounds, 1)
+		rec.Count(MetricActiveClients, int64(r.active))
+		rec.Count(MetricBytesUp, r.stats.BytesUp)
+		rec.Count(MetricBytesDown, r.stats.BytesDown)
+		res.History = append(res.History, r.stats)
+		res.TotalBytesUp += r.stats.BytesUp
+		res.TotalBytesDown += r.stats.BytesDown
+		if cfg.Observer != nil {
+			cfg.Observer.ObserveRound(r.ctx, st.observation(r, eng, resets0))
+		}
+		rsp.End()
+
+		if cfg.CheckpointEvery > 0 && cfg.CheckpointWriter != nil && (n+1)%cfg.CheckpointEvery == 0 {
+			if err := cfg.CheckpointWriter(st.snapshot(n+1, eng)); err != nil {
+				return fmt.Errorf("fed: checkpoint after round %d: %w", n, err)
+			}
+		}
+		if cfg.Patience > 0 && st.badRounds >= cfg.Patience {
+			break
+		}
+	}
+	return nil
+}
+
+// observation is the round's record for the health monitors and the
+// dashboard; the buffer and staleness fields are the async engine's.
+func (st *runState) observation(r *roundState, eng *asyncEngine, resets0 int64) obs.RoundObservation {
+	o := obs.RoundObservation{
+		Round:       r.n,
+		TrainLoss:   r.stats.TrainLoss,
+		ValAcc:      r.stats.ValAcc,
+		TestAcc:     r.stats.TestAcc,
+		BestValAcc:  st.res.BestValAcc,
+		Evaluated:   r.evaluated,
+		Degraded:    r.stats.Degraded,
+		Dropped:     r.stats.Dropped,
+		Quarantined: len(st.clients) - len(st.reachable(r.n+1)), // benched now
+		NonFinite:   st.nonFinite,
+		CodecResets: int(wireResets.Value() - resets0),
+		BytesUp:     r.stats.BytesUp,
+		BytesDown:   r.stats.BytesDown,
+		Parties:     r.parties,
+	}
+	if eng != nil {
+		o.Async = true
+		o.BufferTarget = eng.k
+		o.BufferFill = r.folded
+		o.BufferStalled = r.stalled
+		o.StalenessP99 = r.staleP99
+		o.StalenessLimit = float64(eng.maxStale)
+	}
+	return o
+}
+
+// syncRound is the barriered round body (§3): broadcast, evaluation, the
+// statistics exchange, local training, aux exchange and FedAvg run one
+// after another, each over the whole surviving cohort.
+func (st *runState) syncRound(r *roundState) error {
+	reach := st.reachable(r.n)
+	active := st.cohort(r.n, reach)
+	r.active = len(active)
+	if err := st.quorum(r.n, len(reach)); err != nil {
+		return err
+	}
+	if err := st.broadcast(r, reach); err != nil {
+		return err
+	}
+	if err := st.quorum(r.n, len(st.aliveOf(active))); err != nil {
+		return err
+	}
+	// Evaluate the freshly broadcast global model.
+	if st.evalDue(r.n) {
+		st.evalRound(r, st.aliveOf(reach))
+	}
+	// FedOMD statistics exchange (Algorithm 1 lines 3-18), over the round's
+	// active cohort.
+	if st.allMoment {
+		if _, _, err := st.momentExchange(r, st.aliveOf(active)); err != nil {
+			return err
+		}
+	}
+
+	// Local training, concurrently across surviving active parties.
+	sp := telemetry.StartSpan(st.rec, MetricTrainSeconds)
+	osp := st.tr.Start(r.ctx, obs.SpanTrain)
+	trainIdx := st.aliveOf(active)
+	losses := make([]float64, len(trainIdx))
+	secs := make([]float64, len(trainIdx))
+	errs := forEachClient(len(trainIdx), st.cfg.Sequential, st.policy == FailFast, func(s int) error {
+		var err error
+		losses[s], secs[s], err = st.train(r.ctx, trainIdx[s], r.n)
+		return err
+	})
+	sp.End()
+	osp.End()
+	// The observer sees every party that trained, with its drop status at
+	// the end of the round.
+	defer func() {
+		for s, i := range trainIdx {
+			r.parties = append(r.parties, obs.PartyObservation{
+				Name: st.clients[i].Name(), TrainSeconds: secs[s], Dropped: st.dropped[i]})
+		}
+	}()
+	if st.policy == FailFast {
+		if err := collapseErrs(errs, st.cfg.Sequential || len(trainIdx) == 1); err != nil {
+			return err
+		}
+	} else {
+		for s, e := range errs {
+			if e != nil {
+				_ = st.fail(trainIdx[s], e)
+			}
+		}
+	}
+	var lossSum, wSum float64
+	for s, i := range trainIdx {
+		if !st.dropped[i] {
+			lossSum += st.weights[i] * losses[s]
+			wSum += st.weights[i]
+		}
+	}
+	if wSum > 0 {
+		r.stats.TrainLoss = lossSum / wSum
+	}
+
+	// Auxiliary state aggregation (e.g. SCAFFOLD control variates).
+	sp = telemetry.StartSpan(st.rec, MetricAuxSeconds)
+	err := st.auxExchange(st.aliveOf(active), &r.stats)
+	sp.End()
+	if err != nil {
+		return err
+	}
+	return st.aggregate(r, st.aliveOf(active))
+}
+
+// aggregate uploads the survivors' weights and averages them by FedAvg
+// (eq. 2 / Algorithm 1 lines 26-29); nn.Average renormalizes their weights.
+func (st *runState) aggregate(r *roundState, idx []int) error {
+	sp := telemetry.StartSpan(st.rec, MetricAggregateSeconds)
+	defer sp.End()
+	osp := st.tr.Start(r.ctx, obs.SpanAggregate)
+	defer osp.End()
+	sets := make([]*nn.Params, 0, len(idx))
+	ws := make([]float64, 0, len(idx))
+	// Decoded uploads borrow pooled matrices; they are consumed by
+	// nn.Average (which writes a fresh aggregate), so release them when the
+	// phase ends, on success and error paths alike.
+	var pooled []*nn.Params
+	defer func() {
+		for _, p := range pooled {
+			codec.PutParams(p)
+		}
+	}()
+	var ref *nn.Params
+	if st.policy != FailFast {
+		// Screen shape mismatches per client so one bad upload cannot abort
+		// the whole aggregation. FailFast keeps the historical aggregate-time
+		// error below.
+		ref = st.global
+	}
+	for _, i := range idx {
+		p, enc, up, err := st.upload(r.ctx, i, ref)
+		if enc >= 0 {
+			pooled = append(pooled, p)
+		}
+		if err != nil {
+			if ferr := st.fail(i, err); ferr != nil {
+				return ferr
+			}
+			continue
+		}
+		sets = append(sets, p)
+		ws = append(ws, st.weights[i])
+		r.stats.BytesUp += up
+	}
+	if err := st.quorum(r.n, len(sets)); err != nil {
+		return err
+	}
+	agg, err := nn.Average(sets, ws)
+	if err != nil {
+		return fmt.Errorf("fed: aggregation: %w", err)
+	}
+	st.global = agg
+	return nil
+}
+
+// cohort returns the round's active cohort: every reachable party, or under
+// partial participation the first ⌈fraction·M⌉ reachable parties in
+// permutation order (identical to the historical perm[:k] when nothing is
+// benched).
+func (st *runState) cohort(round int, reach []int) []int {
+	f := st.cfg.ClientFraction
+	if f <= 0 || f >= 1 {
+		return reach
+	}
+	k := ceilFraction(f, len(st.clients))
+	perm := st.sampler.Perm(len(st.clients))
+	st.samplerDraws++
+	sel := make([]int, 0, k)
+	for _, i := range perm {
+		if st.benched(i, round) {
+			continue
+		}
+		sel = append(sel, i)
+		if len(sel) == k {
+			break
+		}
+	}
+	sort.Ints(sel)
+	return sel
+}
+
+// broadcast installs the global weights (Phase 1/3 of §3) on every indexed
+// party and charges the downlink.
+func (st *runState) broadcast(r *roundState, idx []int) error {
+	sp := telemetry.StartSpan(st.rec, MetricBroadcastSeconds)
+	defer sp.End()
+	osp := st.tr.Start(r.ctx, obs.SpanBroadcast)
+	defer osp.End()
+	for _, i := range idx {
+		st.touched[i] = true
+		if err := st.setGlobal(i, st.global); err != nil {
+			if ferr := st.fail(i, err); ferr != nil {
+				return ferr
+			}
+			continue
+		}
+		n, err := st.cs.broadcast(st.clients[i], i, st.global)
+		if err != nil {
+			return err
+		}
+		r.stats.BytesDown += n
+	}
+	return nil
+}
+
+// evalDue reports whether the round scores the global model.
+func (st *runState) evalDue(round int) bool {
+	return round%st.evalEvery == 0 || round == st.cfg.Rounds-1
+}
+
+// evalRound scores the global model installed on the indexed parties and
+// tracks the best validation round that patience counts from.
+func (st *runState) evalRound(r *roundState, idx []int) {
+	sp := telemetry.StartSpan(st.rec, MetricEvalSeconds)
+	osp := st.tr.Start(r.ctx, obs.SpanEval)
+	r.stats.ValAcc, r.stats.TestAcc = st.evaluate(idx, st.cfg.Sequential)
+	sp.End()
+	osp.End()
+	r.evaluated = true
+	st.rec.Gauge(MetricValAcc, r.stats.ValAcc)
+	st.rec.Gauge(MetricTestAcc, r.stats.TestAcc)
+	if res := st.res; r.stats.ValAcc > res.BestValAcc || res.BestRound < 0 {
+		res.BestValAcc = r.stats.ValAcc
+		res.TestAtBestVal = r.stats.TestAcc
+		res.BestRound = r.n
+		st.badRounds = 0
+	} else {
+		st.badRounds++
+	}
+}
+
 // finalScore installs and scores the last aggregated global model: the last
 // nn.Average output was never installed or evaluated inside the round loop,
 // so without this pass the best model could silently be missed. It is a
 // scoring pass outside the round accounting — no history row, no byte
-// counters — and is shared by the sync and async engines.
-func finalScore(cfg *Config, st *runState, rec telemetry.Recorder, res *Result, global *nn.Params) error {
-	sp := telemetry.StartSpan(rec, MetricFinalEvalSeconds)
+// counters.
+func (st *runState) finalScore() error {
+	res := st.res
+	sp := telemetry.StartSpan(st.rec, MetricFinalEvalSeconds)
 	finalIdx := make([]int, 0, len(st.clients))
 	for i := range st.clients {
 		c := st.clients[i]
-		if err := st.call(i, func() error { return c.SetParams(global) }); err != nil {
+		if err := st.call(i, func() error { return c.SetParams(st.global) }); err != nil {
 			if st.policy == FailFast {
 				sp.End()
 				return fmt.Errorf("fed: final broadcast to %s: %w", c.Name(), err)
@@ -723,7 +702,7 @@ func finalScore(cfg *Config, st *runState, rec telemetry.Recorder, res *Result, 
 		finalIdx = append(finalIdx, i)
 	}
 	if len(finalIdx) > 0 {
-		res.FinalValAcc, res.FinalTestAcc = st.evaluate(finalIdx, cfg.Sequential)
+		res.FinalValAcc, res.FinalTestAcc = st.evaluate(finalIdx, st.cfg.Sequential)
 	}
 	sp.End()
 	if res.FinalValAcc > res.BestValAcc || res.BestRound < 0 {
@@ -748,12 +727,14 @@ func RunLocalOnly(cfg Config, clients []Client) (*Result, error) {
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("fed: Rounds must be positive, got %d", cfg.Rounds)
 	}
-	res := &Result{BestRound: -1}
-	badRounds := 0
+	st := newRunState(&Config{Rounds: cfg.Rounds, Sequential: cfg.Sequential}, clients, nil, telemetry.Or(nil))
+	st.res = &Result{BestRound: -1}
+	all := st.reachable(0) // nothing is benched without a failure policy
 	for round := 0; round < cfg.Rounds; round++ {
-		stats := RoundStats{Round: round}
+		r := &roundState{n: round, stats: RoundStats{Round: round}}
 		losses := make([]float64, len(clients))
-		if err := collapseErrs(forEachClient(clients, cfg.Sequential, true, func(i int, c Client) error {
+		if err := collapseErrs(forEachClient(len(clients), cfg.Sequential, true, func(i int) error {
+			c := clients[i]
 			loss, err := c.TrainLocal(round)
 			if err != nil {
 				return fmt.Errorf("fed: local client %s round %d: %w", c.Name(), round, err)
@@ -764,23 +745,16 @@ func RunLocalOnly(cfg Config, clients []Client) (*Result, error) {
 			return nil, err
 		}
 		for _, l := range losses {
-			stats.TrainLoss += l
+			r.stats.TrainLoss += l
 		}
-		stats.TrainLoss /= float64(len(clients))
-		stats.ValAcc, stats.TestAcc = evaluate(clients, cfg.Sequential)
-		if stats.ValAcc > res.BestValAcc || res.BestRound < 0 {
-			res.BestValAcc = stats.ValAcc
-			res.TestAtBestVal = stats.TestAcc
-			res.BestRound = round
-			badRounds = 0
-		} else {
-			badRounds++
-		}
-		res.History = append(res.History, stats)
-		if cfg.Patience > 0 && badRounds >= cfg.Patience {
+		r.stats.TrainLoss /= float64(len(clients))
+		st.evalRound(r, all)
+		st.res.History = append(st.res.History, r.stats)
+		if cfg.Patience > 0 && st.badRounds >= cfg.Patience {
 			break
 		}
 	}
+	res := st.res
 	// Local-only training evaluates after every round, so the last row
 	// already scores the final models.
 	if n := len(res.History); n > 0 {
@@ -795,40 +769,32 @@ func RunLocalOnly(cfg Config, clients []Client) (*Result, error) {
 // indexed clients and installs the global statistics on the survivors. A
 // party failing either stage — including a non-finite upload — is handled
 // by the failure policy, and both aggregations renormalize over whoever is
-// left. It returns the bytes moved plus the aggregated global statistics
-// (nil when no party survived a stage) — the async engine bootstraps its
-// stats state from one synchronous exchange; the sync loop ignores them.
-func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans []*mat.Dense, gCentral [][]*mat.Dense, err error) {
+// left. It charges the round's bytes and returns the aggregated global
+// statistics (nil when no party survived a stage) — the async engine
+// bootstraps its stats state from one synchronous exchange; the sync round
+// ignores them.
+func (st *runState) momentExchange(r *roundState, idx []int) (gMeans []*mat.Dense, gCentral [][]*mat.Dense, err error) {
+	sp := telemetry.StartSpan(st.rec, MetricMomentsSeconds)
+	defer sp.End()
+	osp := st.tr.Start(r.ctx, obs.SpanMoments)
+	defer osp.End()
 	m := len(idx)
 	if m == 0 {
-		return 0, 0, nil, nil, nil
+		return nil, nil, nil
 	}
 	allMeans := make([][]*mat.Dense, m) // [slot][layer]
 	counts := make([]int, m)
 	ok := make([]bool, m)
 	for s, i := range idx {
-		c := st.clients[i]
-		mc := c.(MomentClient)
-		var means []*mat.Dense
-		var n int
-		cerr := st.call(i, func() error {
-			var e error
-			means, n, e = mc.LocalMeans()
-			return e
-		})
-		if cerr == nil && !finiteVecs(means) {
-			cerr = ErrNonFinite
-		}
-		if cerr != nil {
-			if ferr := st.fail(i, fmt.Errorf("fed: means from %s: %w", c.Name(), cerr)); ferr != nil {
-				return up, down, nil, nil, ferr
+		means, n, err := st.localMeans(i)
+		if err != nil {
+			if ferr := st.fail(i, err); ferr != nil {
+				return nil, nil, ferr
 			}
 			continue
 		}
-		allMeans[s] = means
-		counts[s] = n
-		ok[s] = true
-		up += bytesOfVecs(means) + 8
+		allMeans[s], counts[s], ok[s] = means, n, true
+		r.stats.BytesUp += bytesOfVecs(means) + 8
 	}
 	layers := -1
 	for s := range idx {
@@ -842,13 +808,13 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 		if len(allMeans[s]) != layers {
 			mismatch := fmt.Errorf("fed: client %s reports %d layers, want %d", st.clients[idx[s]].Name(), len(allMeans[s]), layers)
 			if ferr := st.fail(idx[s], mismatch); ferr != nil {
-				return up, down, nil, nil, ferr
+				return nil, nil, ferr
 			}
 			ok[s] = false
 		}
 	}
 	if layers < 0 {
-		return up, down, nil, nil, nil // no party survived the first stage
+		return nil, nil, nil // no party survived the first stage
 	}
 	globalMeans := make([]*mat.Dense, layers)
 	for l := 0; l < layers; l++ {
@@ -862,7 +828,7 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 		}
 		gm, err := moments.AggregateMeans(layerMeans, cnt)
 		if err != nil {
-			return up, down, nil, nil, fmt.Errorf("fed: aggregating layer %d means: %w", l, err)
+			return nil, nil, fmt.Errorf("fed: aggregating layer %d means: %w", l, err)
 		}
 		globalMeans[l] = gm
 	}
@@ -872,33 +838,19 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 		if !ok[s] {
 			continue
 		}
-		c := st.clients[i]
-		mc := c.(MomentClient)
-		down += bytesOfVecs(globalMeans)
-		var moms [][]*mat.Dense
-		var n int
-		cerr := st.call(i, func() error {
-			var e error
-			moms, n, e = mc.CentralAroundGlobal(globalMeans)
-			return e
-		})
-		if cerr == nil && !finiteMoms(moms) {
-			cerr = ErrNonFinite
-		}
-		if cerr != nil {
-			if ferr := st.fail(i, fmt.Errorf("fed: moments from %s: %w", c.Name(), cerr)); ferr != nil {
-				return up, down, nil, nil, ferr
+		r.stats.BytesDown += bytesOfVecs(globalMeans)
+		moms, n, err := st.centralMoments(i, globalMeans)
+		if err != nil {
+			if ferr := st.fail(i, err); ferr != nil {
+				return nil, nil, ferr
 			}
 			ok[s] = false
 			continue
 		}
-		allMoms[s] = moms
-		counts[s] = n
-		for _, layer := range moms {
-			up += bytesOfVecs(layer)
-		}
-		up += 8
+		allMoms[s], counts[s] = moms, n
+		r.stats.BytesUp += bytesOfMoms(moms) + 8
 	}
+	survivors := 0
 	for s := range idx {
 		if !ok[s] {
 			continue
@@ -906,19 +858,15 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 		if len(allMoms[s]) != layers {
 			mismatch := fmt.Errorf("fed: client %s moment layers %d, want %d", st.clients[idx[s]].Name(), len(allMoms[s]), layers)
 			if ferr := st.fail(idx[s], mismatch); ferr != nil {
-				return up, down, nil, nil, ferr
+				return nil, nil, ferr
 			}
 			ok[s] = false
+			continue
 		}
-	}
-	survivors := 0
-	for s := range idx {
-		if ok[s] {
-			survivors++
-		}
+		survivors++
 	}
 	if survivors == 0 {
-		return up, down, globalMeans, nil, nil
+		return globalMeans, nil, nil
 	}
 	globalCentral := make([][]*mat.Dense, layers)
 	for l := 0; l < layers; l++ {
@@ -932,7 +880,7 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 		}
 		gc, err := moments.AggregateCentral(perClient, cnt)
 		if err != nil {
-			return up, down, nil, nil, fmt.Errorf("fed: aggregating layer %d moments: %w", l, err)
+			return nil, nil, fmt.Errorf("fed: aggregating layer %d moments: %w", l, err)
 		}
 		globalCentral[l] = gc
 	}
@@ -940,23 +888,15 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 		if !ok[s] {
 			continue
 		}
-		c := st.clients[i]
-		mc := c.(MomentClient)
-		cerr := st.call(i, func() error {
-			mc.SetGlobalStats(globalMeans, globalCentral)
-			return nil
-		})
-		if cerr != nil {
-			if ferr := st.fail(i, fmt.Errorf("fed: global stats to %s: %w", c.Name(), cerr)); ferr != nil {
-				return up, down, nil, nil, ferr
+		if err := st.setGlobalStats(i, globalMeans, globalCentral); err != nil {
+			if ferr := st.fail(i, err); ferr != nil {
+				return nil, nil, ferr
 			}
 			continue
 		}
-		for _, layer := range globalCentral {
-			down += bytesOfVecs(layer)
-		}
+		r.stats.BytesDown += bytesOfMoms(globalCentral)
 	}
-	return up, down, globalMeans, globalCentral, nil
+	return globalMeans, globalCentral, nil
 }
 
 // auxExchange averages any auxiliary uploads from the indexed clients and
@@ -965,17 +905,9 @@ func (st *runState) auxExchange(idx []int, stats *RoundStats) error {
 	var auxSets []*nn.Params
 	var auxIdx []int
 	for _, i := range idx {
-		ac, isAux := st.clients[i].(AuxClient)
-		if !isAux {
-			continue
-		}
-		var aux *nn.Params
-		cerr := st.call(i, func() error { aux = ac.UploadAux(); return nil })
-		if cerr == nil && aux != nil && !finiteParams(aux) {
-			cerr = ErrNonFinite
-		}
-		if cerr != nil {
-			if ferr := st.fail(i, fmt.Errorf("fed: aux upload from %s: %w", ac.Name(), cerr)); ferr != nil {
+		aux, err := st.uploadAux(i)
+		if err != nil {
+			if ferr := st.fail(i, err); ferr != nil {
 				return ferr
 			}
 			continue
@@ -999,56 +931,189 @@ func (st *runState) auxExchange(idx []int, stats *RoundStats) error {
 		return fmt.Errorf("fed: aux aggregation: %w", err)
 	}
 	for _, i := range auxIdx {
-		ac := st.clients[i].(AuxClient)
-		cerr := st.call(i, func() error { return ac.DownloadAux(globalAux) })
-		if cerr != nil {
-			if ferr := st.fail(i, fmt.Errorf("fed: aux download to %s: %w", ac.Name(), cerr)); ferr != nil {
+		n, err := st.downloadAux(i, globalAux)
+		if err != nil {
+			if ferr := st.fail(i, err); ferr != nil {
 				return ferr
 			}
 			continue
 		}
-		stats.BytesDown += int64(globalAux.Bytes())
+		stats.BytesDown += n
 	}
 	return nil
 }
 
-// evaluate returns the sample-weighted global validation and test accuracy.
-func evaluate(clients []Client, sequential bool) (valAcc, testAcc float64) {
-	type counts struct{ vc, vt, tc, tt int }
-	results := make([]counts, len(clients))
-	forEachClient(clients, sequential, false, func(i int, c Client) error {
-		vc, vt := c.EvalVal()
-		tc, tt := c.EvalTest()
-		results[i] = counts{vc, vt, tc, tt}
-		return nil
-	})
-	var vc, vt, tc, tt int
-	for _, r := range results {
-		vc += r.vc
-		vt += r.vt
-		tc += r.tc
-		tt += r.tt
+// The per-party protocol steps below are shared by the sync phases and the
+// async job. Each runs one client call under runState.call, screens what
+// comes back, and wraps a failure in the error text the failure policy and
+// the logs report; the caller decides whether that failure drops the party
+// now (sync) or travels with the job's update (async).
+
+// setGlobal installs global on party i.
+func (st *runState) setGlobal(i int, global *nn.Params) error {
+	c := st.clients[i]
+	if err := st.call(i, func() error { return c.SetParams(global) }); err != nil {
+		return fmt.Errorf("fed: broadcast to %s: %w", c.Name(), err)
 	}
-	if vt > 0 {
-		valAcc = float64(vc) / float64(vt)
-	}
-	if tt > 0 {
-		testAcc = float64(tc) / float64(tt)
-	}
-	return valAcc, testAcc
+	return nil
 }
 
-// forEachClient runs f over clients, concurrently unless sequential, with at
-// most GOMAXPROCS workers. It returns one error slot per client so callers
+// localMeans fetches party i's per-layer hidden means and sample count
+// (Algorithm 1 lines 3-8).
+func (st *runState) localMeans(i int) ([]*mat.Dense, int, error) {
+	mc := st.clients[i].(MomentClient)
+	var means []*mat.Dense
+	var n int
+	err := st.call(i, func() error {
+		var e error
+		means, n, e = mc.LocalMeans()
+		return e
+	})
+	if err == nil && !finiteVecs(means) {
+		err = ErrNonFinite
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("fed: means from %s: %w", mc.Name(), err)
+	}
+	return means, n, nil
+}
+
+// centralMoments fetches party i's central moments around the global means
+// (lines 12-15).
+func (st *runState) centralMoments(i int, globalMeans []*mat.Dense) ([][]*mat.Dense, int, error) {
+	mc := st.clients[i].(MomentClient)
+	var moms [][]*mat.Dense
+	var n int
+	err := st.call(i, func() error {
+		var e error
+		moms, n, e = mc.CentralAroundGlobal(globalMeans)
+		return e
+	})
+	if err == nil && !finiteMoms(moms) {
+		err = ErrNonFinite
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("fed: moments from %s: %w", mc.Name(), err)
+	}
+	return moms, n, nil
+}
+
+// setGlobalStats delivers the global statistics to party i (lines 16-18).
+func (st *runState) setGlobalStats(i int, means []*mat.Dense, central [][]*mat.Dense) error {
+	mc := st.clients[i].(MomentClient)
+	if err := st.call(i, func() error {
+		mc.SetGlobalStats(means, central)
+		return nil
+	}); err != nil {
+		return fmt.Errorf("fed: global stats to %s: %w", mc.Name(), err)
+	}
+	return nil
+}
+
+// train runs party i's local epochs under a client_train span and returns
+// the local loss and the call's wall time. A failed train cancels its
+// latency sample: fed/client/train_seconds books only trains that finished.
+func (st *runState) train(ctx obs.SpanContext, i, round int) (loss, secs float64, err error) {
+	c := st.clients[i]
+	clientSpan := telemetry.StartSpan(st.rec, MetricClientTrainSecs)
+	tsp := st.tr.Start(ctx, obs.SpanClientTrain)
+	tsp.SetAttr(obs.AttrParty, c.Name())
+	t0 := time.Now()
+	var l float64
+	err = st.call(i, func() error {
+		var e error
+		l, e = c.TrainLocal(round)
+		return e
+	})
+	secs = time.Since(t0).Seconds()
+	tsp.End()
+	if err != nil {
+		clientSpan.Cancel()
+		return 0, secs, fmt.Errorf("fed: client %s round %d: %w", c.Name(), round, err)
+	}
+	clientSpan.End()
+	return l, secs, nil
+}
+
+// upload fetches party i's trained parameters through the codec seam under
+// a client_upload span and screens them for non-finite values and, when ref
+// is non-nil, for shape compatibility with ref. enc ≥ 0 means p is a pooled
+// decode of an enc-byte frame, which the caller releases even when err is
+// set; up is the byte count the upload charges.
+func (st *runState) upload(ctx obs.SpanContext, i int, ref *nn.Params) (p *nn.Params, enc, up int64, err error) {
+	c := st.clients[i]
+	usp := st.tr.Start(ctx, obs.SpanClientUpload)
+	usp.SetAttr(obs.AttrParty, c.Name())
+	var raw *nn.Params
+	err = st.call(i, func() error { raw = c.Params(); return nil })
+	enc = -1
+	if err == nil {
+		// Round-trip the upload through the codec: the server aggregates
+		// what the wire delivers, so lossy tiers shape the aggregate here
+		// exactly as in deployment.
+		p, enc, err = st.cs.upload(c, i, raw)
+	}
+	if err == nil && !finiteParams(p) {
+		err = ErrNonFinite
+	}
+	if err == nil && ref != nil {
+		err = ref.Compatible(p)
+	}
+	if err != nil {
+		usp.SetAttr(obs.AttrErr, err.Error())
+		usp.End()
+		return p, enc, 0, fmt.Errorf("fed: upload from %s: %w", c.Name(), err)
+	}
+	up = int64(p.Bytes())
+	if enc >= 0 {
+		up = enc
+		usp.SetAttr(obs.AttrBytesEnc, enc)
+	}
+	usp.End()
+	return p, enc, up, nil
+}
+
+// uploadAux fetches party i's auxiliary state; nil when the party has none.
+func (st *runState) uploadAux(i int) (*nn.Params, error) {
+	ac, ok := st.clients[i].(AuxClient)
+	if !ok {
+		return nil, nil
+	}
+	var aux *nn.Params
+	err := st.call(i, func() error { aux = ac.UploadAux(); return nil })
+	if err == nil && aux != nil && !finiteParams(aux) {
+		err = ErrNonFinite
+	}
+	if err != nil {
+		return nil, fmt.Errorf("fed: aux upload from %s: %w", ac.Name(), err)
+	}
+	return aux, nil
+}
+
+// downloadAux installs the aggregated auxiliary state on party i and
+// returns the bytes charged (none for a party without aux state).
+func (st *runState) downloadAux(i int, aux *nn.Params) (int64, error) {
+	ac, ok := st.clients[i].(AuxClient)
+	if !ok {
+		return 0, nil
+	}
+	if err := st.call(i, func() error { return ac.DownloadAux(aux) }); err != nil {
+		return 0, fmt.Errorf("fed: aux download to %s: %w", ac.Name(), err)
+	}
+	return int64(aux.Bytes()), nil
+}
+
+// forEachClient runs f over n client slots, concurrently unless sequential,
+// with at most GOMAXPROCS workers. It returns one error per slot so callers
 // can attribute each failure to the party that caused it (the DropRound and
 // Quarantine policies need the index, not just a joined error). In
 // sequential mode stopEarly short-circuits at the first failure — the
 // historical fail-fast order; concurrent mode always drives every client.
-func forEachClient(clients []Client, sequential, stopEarly bool, f func(int, Client) error) []error {
-	errs := make([]error, len(clients))
-	if sequential || len(clients) == 1 {
-		for i, c := range clients {
-			errs[i] = f(i, c)
+func forEachClient(n int, sequential, stopEarly bool, f func(int) error) []error {
+	errs := make([]error, n)
+	if sequential || n == 1 {
+		for i := range errs {
+			errs[i] = f(i)
 			if errs[i] != nil && stopEarly {
 				break
 			}
@@ -1057,14 +1122,14 @@ func forEachClient(clients []Client, sequential, stopEarly bool, f func(int, Cli
 	}
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
-	for i, c := range clients {
+	for i := range errs {
 		wg.Add(1)
-		go func(i int, c Client) {
+		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			errs[i] = f(i, c)
-		}(i, c)
+			errs[i] = f(i)
+		}(i)
 	}
 	wg.Wait()
 	return errs
@@ -1094,6 +1159,15 @@ func bytesOfVecs(vs []*mat.Dense) int64 {
 	var total int64
 	for _, v := range vs {
 		total += int64(8 * v.Rows() * v.Cols())
+	}
+	return total
+}
+
+// bytesOfMoms sizes [layer][order] central moments.
+func bytesOfMoms(ms [][]*mat.Dense) int64 {
+	var total int64
+	for _, layer := range ms {
+		total += bytesOfVecs(layer)
 	}
 	return total
 }

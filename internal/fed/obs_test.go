@@ -135,6 +135,9 @@ func TestDistributedTraceTree(t *testing.T) {
 		case obs.SpanRun:
 			runSpans++
 			runTrace = r.Trace
+			if got := r.Attrs[obs.AttrAggregation]; got != AggSync.String() {
+				t.Errorf("fed/run span aggregation = %v, want %q", got, AggSync.String())
+			}
 		case obs.SpanRound:
 			roundSpans++
 		}

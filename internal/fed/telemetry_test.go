@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"errors"
 	"testing"
 
 	"fedomd/internal/mat"
@@ -50,6 +51,30 @@ func TestRunRecordsTelemetry(t *testing.T) {
 	}
 	if v, ok := agg.GaugeValue(MetricValAcc); !ok || v != res.History[rounds-1].ValAcc {
 		t.Fatalf("val acc gauge = %v,%v want %v", v, ok, res.History[rounds-1].ValAcc)
+	}
+
+	// A failed train is not a latency sample: under DropRound, with one
+	// party whose training always fails, the per-client histogram books only
+	// the trains that finished — in both round bodies.
+	for _, mode := range []AggregationMode{AggSync, AggAsync} {
+		agg := telemetry.NewAggregator()
+		clients := make([]Client, m)
+		for i := range clients {
+			clients[i] = newFakeClient(string(rune('a'+i)), 1, 0)
+		}
+		clients[0].(*fakeClient).trainErr = errors.New("boom")
+		res, err := Run(Config{Rounds: rounds, Recorder: agg, Policy: DropRound, Aggregation: mode, BufferK: m - 1}, clients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An async failure still in flight when the run ends is never booked,
+		// so only the sync tally is exact.
+		if got := res.ClientFailures["a"]; mode == AggSync && got != rounds {
+			t.Fatalf("%s: party a failed %d trains, want %d", mode, got, rounds)
+		}
+		if s, _ := agg.Histogram(MetricClientTrainSecs); s.Count != rounds*(m-1) {
+			t.Fatalf("%s: client train samples = %d, want %d successful trains", mode, s.Count, rounds*(m-1))
+		}
 	}
 }
 
